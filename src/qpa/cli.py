@@ -1,4 +1,6 @@
-"""Command-line surface: plan, gen-seed, distill, bench, selftest.
+"""Command-line surface: plan, gen-seed, distill, selftest.
+
+Timing lives in the benchmark, ``python3 perfbench/run.py``.
 
 File formats (all little-endian, LSB-first within bytes):
   key file   bit i of the stream = bit (i mod 8) of byte floor(i/8)
@@ -14,23 +16,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 import numpy as np
 
-from . import bitio, bigint, dm3h, mersenne, ntt, oracle, pipeline
-from .errors import (AllOnesBlock, InvalidGamma, InvalidOutputLen,
-                     InvalidRatio, LengthMismatch, QpaError)
+from . import bitio, bigint, mersenne, ntt, oracle, pipeline
+from .errors import AllOnesBlock, LengthMismatch, QpaError
 
 EXIT_OK = 0
 EXIT_PARAM = 2
 EXIT_ALL_ONES = 3
 EXIT_IO = 4
 EXIT_SELFTEST = 5
-
-
-def _default_workers() -> int:
-    return int(os.environ.get("QPA_WORKERS", "1"))
 
 
 def cmd_plan(args) -> int:
@@ -91,23 +87,10 @@ def cmd_gen_seed(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    params = pipeline.plan(args.in_bits, args.out_bits, args.gamma_exp)
-    rng = np.random.default_rng(args.rng_seed)
-    key_bits = rng.integers(0, 2, size=params.N, dtype=np.uint8)
-    seed_bits = rng.integers(0, 2, size=pipeline.required_seed_bits(params),
-                             dtype=np.uint8)
-    seed = pipeline.seed_from_bits(seed_bits, params)
-    start = time.perf_counter()
-    out = pipeline.distill(key_bits, seed, params, workers=args.workers,
-                           all_ones_policy="zero")
-    elapsed = time.perf_counter() - start
-    assert len(out) == params.l
-    print(f"N = {params.N} bits, l = {params.l} bits, gamma = {params.gamma}, "
-          f"workers = {args.workers}")
-    print(f"wall time  = {elapsed:.2f} s")
-    print(f"throughput = {params.N / elapsed / 1e6:.2f} Mbps")
-    return EXIT_OK
+def _check(ok: bool, what: str) -> None:
+    """A selftest check that also holds under ``python -O``."""
+    if not ok:
+        raise AssertionError(what)
 
 
 def _selftest_suites():
@@ -117,20 +100,23 @@ def _selftest_suites():
         for _ in range(1000):
             a, b = (int(v) for v in rng.integers(0, 1 << 63, size=2))
             from .goldilocks import P64, fe_mul
-            assert fe_mul(a, b) == (a * b) % P64
+            _check(fe_mul(a, b) == (a * b) % P64, f"fe_mul({a}, {b})")
 
     def ntt_roundtrip():
         for length in (16, 256):
             v = rng.integers(0, 1 << 24, size=length).astype(np.uint64)
-            assert np.array_equal(ntt.ntt_inverse(ntt.ntt_forward(v)), v)
+            _check(np.array_equal(ntt.ntt_inverse(ntt.ntt_forward(v)), v),
+                   f"round trip at length {length}")
         v = rng.integers(0, 1 << 24, size=16).astype(np.uint64)
-        assert np.array_equal(ntt.ntt_forward(v), oracle.naive_ntt(v))
+        _check(np.array_equal(ntt.ntt_forward(v), oracle.naive_ntt(v)),
+               "forward transform vs naive")
 
     def bigint_mul():
         for bits in (100, 1000, 5000):
             a = bigint.BigUint.from_int(int(rng.integers(1, 1 << 62)) << (bits - 62))
             b = bigint.BigUint.from_int(int(rng.integers(1, 1 << 62)))
-            assert bigint.mul_ntt(a, b, force_ntt=True) == oracle.mul_schoolbook(a, b)
+            _check(bigint.mul_ntt(a, b, force_ntt=True) == oracle.mul_schoolbook(a, b),
+                   f"{bits}-bit product")
 
     def distill_equivalence():
         params = pipeline.plan(140, 20, 7)
@@ -146,7 +132,7 @@ def _selftest_suites():
                 except AllOnesBlock:
                     continue
                 break
-            assert np.array_equal(fast, slow)
+            _check(np.array_equal(fast, slow), "distilled key differs")
 
     def census():
         best = 0
@@ -157,7 +143,7 @@ def _selftest_suites():
                 continue
             count = oracle.collision_census(3, 2, 2, x1, x2)
             best = max(best, count)
-            assert count <= 7
+            _check(count <= 7, f"{count} collisions for {x1}, {x2}")
         print(f"    max collision count {best} <= bound 7", flush=True)
 
     def negative_control():
@@ -167,11 +153,12 @@ def _selftest_suites():
         ntt._testing_corrupt_twiddle(256)
         try:
             corrupted = ntt.ntt_forward(v)
-            assert not np.array_equal(corrupted, spectrum), \
-                "corruption went undetected"
+            _check(not np.array_equal(corrupted, spectrum),
+                   "corruption went undetected")
         finally:
             ntt._testing_clear_cache()
-        assert np.array_equal(ntt.ntt_forward(v), spectrum)
+        _check(np.array_equal(ntt.ntt_forward(v), spectrum),
+               "clearing the cache did not restore the transform")
 
     return [
         ("field multiply vs wide-integer oracle", field_oracle),
@@ -225,19 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_plan_flags(p, with_n=False)
     p.add_argument("--all-ones-policy", choices=("error", "zero"),
                    default="error")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=None,
+                   help="pass threads (default: QPA_WORKERS, else 1)")
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("gen-seed", help="write OS-random seed material")
     add_plan_flags(p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_gen_seed)
-
-    p = sub.add_parser("bench", help="time a synthetic distillation")
-    add_plan_flags(p)
-    p.add_argument("--workers", type=int, default=_default_workers())
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("selftest", help="run the built-in verification suites")
     p.set_defaults(func=cmd_selftest)
@@ -253,9 +235,6 @@ def main(argv=None) -> int:
         print(f"error: all-ones blocks at {exc.indices}; rerun with "
               f"--all-ones-policy zero to substitute (unsafe)", file=sys.stderr)
         return EXIT_ALL_ONES
-    except (InvalidRatio, InvalidGamma, InvalidOutputLen, LengthMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAM
     except QpaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM

@@ -5,76 +5,43 @@ little-endian gamma-bit blocks, and each shifted pass i computes
 
     y_i = sum_{j=1..n} a_{j+i-1} * x_j  (mod 2^gamma - 1).
 
-Block/seed words live as 24-bit-limb matrices; forward NTT spectra are
-cached on the containers so that every pass only costs the pointwise
-products and inverse transforms.  Raw input blocks equal to the all-ones
-pattern do not embed injectively into Z_p and are rejected with their
-indices; replacement policy belongs to the caller.
+Blocks and seed coefficients are ``bigint.Words`` matrices; the sum of
+products is ``bigint.dot`` and this module only folds it modulo p.
+Raw input blocks equal to the all-ones pattern do not embed injectively
+into Z_p and are rejected with their indices; replacement policy
+belongs to the caller.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from . import bigint, bitio, ntt
-from .errors import AllOnesBlock, OperandTooLarge, SeedTooShort
+from . import bigint, bitio
+from .errors import AllOnesBlock, SeedTooShort
 from .mersenne import MersenneParams, MersenneResidue, fold
 
 logger = logging.getLogger(__name__)
 
-_U64 = np.uint64
-
-# rows per chunk for batched inverse transforms
-_BATCH_ROWS = 32
-
-
-def _word_matrix(values, params: MersenneParams) -> np.ndarray:
-    nl = params.limb_count
-    mat = np.empty((len(values), nl), dtype=_U64)
-    for i, v in enumerate(values):
-        mat[i] = bigint.limbs_from_int(v, nl)
-    return mat
-
-
-class _SpectraCache:
-    """Lazily computed forward spectra of a limb matrix."""
-
-    def __init__(self):
-        self._spectra = None
-
-    def get(self, limbs: np.ndarray, length: int) -> np.ndarray:
-        if self._spectra is None or self._spectra.shape[1] != length:
-            padded = np.zeros((limbs.shape[0], length), dtype=_U64)
-            padded[:, :limbs.shape[1]] = limbs
-            self._spectra = ntt.ntt_forward(padded)
-        return self._spectra
-
 
 @dataclass
 class BlockVector:
-    """Input blocks x_1..x_n as rows of a 24-bit-limb matrix."""
+    """Input blocks x_1..x_n, one gamma-bit word per row."""
 
-    limbs: np.ndarray
+    words: bigint.Words
     params: MersenneParams
-    _cache: _SpectraCache = field(default_factory=_SpectraCache, repr=False)
 
     @property
     def n(self) -> int:
-        return self.limbs.shape[0]
+        return len(self.words)
 
     @classmethod
     def from_values(cls, values, params: MersenneParams) -> "BlockVector":
-        return cls(_word_matrix(values, params), params)
+        return cls(bigint.Words.from_ints(values, params.gamma), params)
 
     def value(self, j: int) -> int:
         """Block value, 1-based index."""
-        return bigint.int_from_limbs(self.limbs[j - 1])
-
-    def residue(self, j: int) -> MersenneResidue:
-        return MersenneResidue(self.value(j), self.params)
+        return self.words.value(j - 1)
 
     def values(self) -> list[int]:
         return [self.value(j) for j in range(1, self.n + 1)]
@@ -84,17 +51,16 @@ class BlockVector:
 class Dm3hSeed:
     """Coefficient sequence a_1..a_{n+m-1} (or a_{n+m} with a tail pass)."""
 
-    limbs: np.ndarray
+    words: bigint.Words
     params: MersenneParams
-    _cache: _SpectraCache = field(default_factory=_SpectraCache, repr=False)
 
     @property
     def count(self) -> int:
-        return self.limbs.shape[0]
+        return len(self.words)
 
     @classmethod
     def from_values(cls, values, params: MersenneParams) -> "Dm3hSeed":
-        return cls(_word_matrix(values, params), params)
+        return cls(bigint.Words.from_ints(values, params.gamma), params)
 
     @classmethod
     def from_words(cls, words, params: MersenneParams) -> "Dm3hSeed":
@@ -103,29 +69,10 @@ class Dm3hSeed:
 
     def value(self, k: int) -> int:
         """Coefficient value, 1-based index."""
-        return bigint.int_from_limbs(self.limbs[k - 1])
+        return self.words.value(k - 1)
 
     def values(self) -> list[int]:
         return [self.value(k) for k in range(1, self.count + 1)]
-
-
-def _blocks_from_bits(bits: np.ndarray, gamma: int) -> tuple[np.ndarray, list[int]]:
-    """Split and limb-pack; returns (matrix, 1-based all-ones indices)."""
-    nbits = len(bits)
-    n = max(1, -(-nbits // gamma))
-    nl = (gamma + bigint.LIMB_BITS - 1) // bigint.LIMB_BITS
-    mat = np.empty((n, nl), dtype=_U64)
-    shifts = np.array([1, 1 << 8, 1 << 16], dtype=_U64)
-    bad: list[int] = []
-    for j in range(n):
-        chunk = bits[j * gamma:(j + 1) * gamma]
-        if len(chunk) == gamma and chunk.all():
-            bad.append(j + 1)
-        raw = np.packbits(chunk, bitorder="little")
-        buf = np.zeros(3 * nl, dtype=_U64)
-        buf[:len(raw)] = raw
-        mat[j] = buf.reshape(nl, 3) @ shifts
-    return mat, bad
 
 
 def split_and_pad(X, params: MersenneParams, all_ones_policy: str = "error") -> BlockVector:
@@ -139,30 +86,26 @@ def split_and_pad(X, params: MersenneParams, all_ones_policy: str = "error") -> 
     bits = bitio.as_bit_array(X)
     if len(bits) < 1:
         raise ValueError("input must contain at least one bit")
-    mat, bad = _blocks_from_bits(bits, params.gamma)
+    gamma = params.gamma
+    n = -(-len(bits) // gamma)
+    values = [bitio.int_from_bits(bits[j * gamma:(j + 1) * gamma]) for j in range(n)]
+    # only a full-width block can equal p; padding zeros keep the rest below
+    bad = [j + 1 for j, v in enumerate(values) if v == params.p]
     if bad:
         if all_ones_policy != "zero":
             raise AllOnesBlock(bad)
         logger.warning(
             "substituting zero for all-ones blocks %s; the universality "
             "guarantee does not cover substituted blocks", bad)
-        mat[[i - 1 for i in bad]] = 0
-    return BlockVector(mat, params)
-
-
-def _transform_length(params: MersenneParams) -> int:
-    need = 2 * params.limb_count
-    for length in ntt.SUPPORTED_LENGTHS:
-        if length >= need:
-            return length
-    raise OperandTooLarge(f"gamma {params.gamma} exceeds the NTT multiplier")
+        for j in bad:
+            values[j - 1] = 0
+    return BlockVector.from_values(values, params)
 
 
 def mmh_pass(x: BlockVector, seed: Dm3hSeed, i: int) -> MersenneResidue:
     """y_i = sum_j a_{j+i-1} * x_j mod (2^gamma - 1) for pass index i >= 1.
 
-    Products are computed in the NTT domain from cached spectra; the
-    modular fold is deferred until the whole pass is accumulated.
+    The modular fold is deferred until the whole pass is accumulated.
     """
     if i < 1:
         raise ValueError(f"pass index must be >= 1, got {i}")
@@ -171,21 +114,5 @@ def mmh_pass(x: BlockVector, seed: Dm3hSeed, i: int) -> MersenneResidue:
         raise SeedTooShort(
             f"pass {i} over {n} blocks needs {n + i - 1} coefficients, "
             f"seed has {seed.count}")
-    length = _transform_length(x.params)
-    sx = x._cache.get(x.limbs, length)
-    sa = seed._cache.get(seed.limbs, length)[i - 1:i - 1 + n]
-    total = 0
-    for start in range(0, n, _BATCH_ROWS):
-        stop = min(start + _BATCH_ROWS, n)
-        prod = ntt.pointwise_mul(sx[start:stop], sa[start:stop])
-        coeffs = ntt.ntt_inverse(prod)
-        for row in coeffs:
-            total += bigint.int_from_wide_limbs(row)
+    total = bigint.dot(x.words, seed.words, i - 1)
     return MersenneResidue(fold(total, x.params.gamma), x.params)
-
-
-def dm3h_hash(x: BlockVector, seed: Dm3hSeed, m: int) -> list[MersenneResidue]:
-    """(y_1, ..., y_m); the bit-level concatenation is the caller's job."""
-    if not 1 <= m <= x.n:
-        raise ValueError(f"need 1 <= m <= n = {x.n}, got m = {m}")
-    return [mmh_pass(x, seed, i) for i in range(1, m + 1)]

@@ -25,18 +25,6 @@ class OperandTooLarge(QpaError):
     """Big-integer operand exceeds the size the NTT multiplier supports."""
 
 
-class Overflow(QpaError):
-    """Value does not fit in the requested bit width."""
-
-
-class InputTooWide(QpaError):
-    """Input to Mersenne reduction exceeds the supported width."""
-
-
-class ParamMismatch(QpaError):
-    """Operands carry different Mersenne parameters."""
-
-
 class AllOnesBlock(QpaError):
     """One or more raw input blocks equal 2^gamma - 1 and must be replaced.
 
@@ -61,7 +49,11 @@ class InvalidRatio(QpaError):
 
 
 class InvalidGamma(QpaError):
-    """Exponent is not a known Mersenne-prime exponent."""
+    """Exponent is not a known Mersenne-prime exponent or exceeds the multiplier."""
+
+
+class InvalidWorkers(QpaError):
+    """Worker count is not a positive integer."""
 
 
 class TooLargeToEnumerate(QpaError):

@@ -87,11 +87,9 @@ def _canonical_omega_65536() -> int:
     consistent with inter-stage twiddles.
     """
     base = pow(GENERATOR, (P64 - 1) // 65536, P64)
-    u = pow(base, 4096, P64)  # some primitive 16th root
     for e in range(1, 16, 2):
-        if pow(u, e, P64) == W16:
-            omega = pow(base, e, P64)
-            assert pow(omega, 4096, P64) == W16
+        omega = pow(base, e, P64)
+        if pow(omega, 4096, P64) == W16:
             return omega
     raise AssertionError("no odd exponent maps the 16th root to 4096")
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import bigint
-from .bigint import BigUint
-from .errors import InputTooWide, InvalidGamma, OperandTooLarge, ParamMismatch
+from .errors import InvalidGamma
 
 # Small exponents for desk-scale and exhaustive testing.
 SMALL_EXPONENTS = frozenset({
@@ -46,10 +44,6 @@ class MersenneParams:
     def p(self) -> int:
         return (1 << self.gamma) - 1
 
-    @property
-    def limb_count(self) -> int:
-        return (self.gamma + bigint.LIMB_BITS - 1) // bigint.LIMB_BITS
-
 
 @dataclass
 class MersenneResidue:
@@ -57,10 +51,6 @@ class MersenneResidue:
 
     value: int
     params: MersenneParams
-
-    def to_biguint(self) -> BigUint:
-        return BigUint(bigint.limbs_from_int(self.value, self.params.limb_count),
-                       self.params.gamma)
 
 
 def fold(x: int, gamma: int) -> int:
@@ -70,32 +60,3 @@ def fold(x: int, gamma: int) -> int:
         x = (x & mask) + (x >> gamma)
     return 0 if x == mask else x
 
-
-def reduce(x: BigUint, params: MersenneParams) -> MersenneResidue:
-    if x.bit_len > 2 * params.gamma + 64:
-        raise InputTooWide(
-            f"{x.bit_len} bits exceeds 2*gamma + 64 = {2 * params.gamma + 64}")
-    return MersenneResidue(fold(x.to_int(), params.gamma), params)
-
-
-def _check_params(a: MersenneResidue, b: MersenneResidue) -> None:
-    if a.params.gamma != b.params.gamma:
-        raise ParamMismatch(f"gamma {a.params.gamma} vs {b.params.gamma}")
-
-
-def mod_add_acc(acc: MersenneResidue, addend: MersenneResidue) -> MersenneResidue:
-    _check_params(acc, addend)
-    s = acc.value + addend.value
-    p = acc.params.p
-    if s >= p:
-        s -= p
-    return MersenneResidue(s, acc.params)
-
-
-def mod_mul(a: MersenneResidue, b: MersenneResidue) -> MersenneResidue:
-    _check_params(a, b)
-    if a.params.gamma > bigint.MAX_OPERAND_BITS:
-        raise OperandTooLarge(
-            f"gamma {a.params.gamma} exceeds the {bigint.MAX_OPERAND_BITS}-bit multiplier")
-    product = bigint.mul_ntt(a.to_biguint(), b.to_biguint())
-    return MersenneResidue(fold(product.to_int(), a.params.gamma), a.params)

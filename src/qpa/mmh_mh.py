@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bigint, bitio
-from .dm3h import BlockVector, Dm3hSeed, mmh_pass
+from . import bitio
 from .errors import InvalidOutputLen
 from .mersenne import MersenneResidue
 
@@ -30,23 +29,10 @@ class MhSeed:
             raise ValueError("b must be odd (gcd(b, 2) = 1)")
 
 
-def _mh_core(x: int, b: int, c: int, alpha: int, beta: int) -> int:
-    """floor(((b*x + c) mod 2^alpha) / 2^(alpha - beta))."""
-    prod = bigint.mul_ntt(bigint.BigUint.from_int(b), bigint.BigUint.from_int(x))
-    t = (prod.to_int() + c) & ((1 << alpha) - 1)
-    return t >> (alpha - beta)
-
-
 def mh_hash(y: MersenneResidue, seed: MhSeed, l_prime: int) -> np.ndarray:
     """Top l_prime bits of (b*y + c) mod 2^gamma, emitted little-endian."""
     gamma = y.params.gamma
     if not 1 <= l_prime < gamma:
         raise InvalidOutputLen(f"l' = {l_prime} not in [1, {gamma})")
-    return bitio.bits_from_int(_mh_core(y.value, seed.b, seed.c, gamma, l_prime),
-                               l_prime)
-
-
-def mmh_mh_hash(x: BlockVector, A: Dm3hSeed, seed: MhSeed, m: int,
-                l_prime: int) -> np.ndarray:
-    """Tail output: MH applied to the (m+1)-th MMH pass."""
-    return mh_hash(mmh_pass(x, A, m + 1), seed, l_prime)
+    t = (seed.b * y.value + seed.c) & ((1 << gamma) - 1)
+    return bitio.bits_from_int(t >> (gamma - l_prime), l_prime)

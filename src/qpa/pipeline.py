@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bitio, dm3h, mmh_mh
+from . import bigint, bitio, dm3h, mmh_mh
 from .dm3h import BlockVector, Dm3hSeed, split_and_pad
-from .errors import InvalidRatio, LengthMismatch
+from .errors import InvalidGamma, InvalidRatio, InvalidWorkers, LengthMismatch
 from .mersenne import MersenneParams, MersenneResidue
 from .mmh_mh import MhSeed
 
@@ -68,6 +68,9 @@ class SeedMaterial:
 def plan(N: int, l: int, gamma: int) -> PaParams:
     """Derive (n, m, l') for an N-bit input and l-bit output."""
     params = MersenneParams(gamma)  # raises InvalidGamma
+    if gamma > bigint.MAX_OPERAND_BITS:
+        raise InvalidGamma(f"gamma {gamma} exceeds the {bigint.MAX_OPERAND_BITS}-bit "
+                           f"operands of the ring product")
     if l <= 0 or l > N:
         raise InvalidRatio(f"need 0 < l <= N, got l = {l}, N = {N}")
     n = -(-N // gamma)
@@ -119,9 +122,16 @@ class DistillResult:
 
 
 def _resolve_workers(workers: int | None) -> int:
+    """The given count, else QPA_WORKERS, else 1; must be a positive integer."""
     if workers is None:
-        workers = int(os.environ.get("QPA_WORKERS", "1"))
-    return max(1, workers)
+        raw = os.environ.get("QPA_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise InvalidWorkers(f"QPA_WORKERS={raw!r} is not an integer") from None
+    if workers < 1:
+        raise InvalidWorkers(f"worker count must be at least 1, got {workers}")
+    return workers
 
 
 def distill_blocks(blocks: BlockVector, seed: SeedMaterial, params: PaParams,
@@ -133,10 +143,6 @@ def distill_blocks(blocks: BlockVector, seed: SeedMaterial, params: PaParams,
         raise LengthMismatch("plan has a tail stage but no MH seed was supplied")
     nworkers = _resolve_workers(workers)
     indices = list(range(1, params.pass_count + 1))
-    # warm the shared spectra caches so worker threads only read them
-    length = dm3h._transform_length(params.mersenne)
-    blocks._cache.get(blocks.limbs, length)
-    seed.A._cache.get(seed.A.limbs, length)
     if nworkers > 1 and len(indices) > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             outputs = list(pool.map(
@@ -153,7 +159,8 @@ def distill_blocks(blocks: BlockVector, seed: SeedMaterial, params: PaParams,
         z_bits = mmh_mh.mh_hash(y_tail, seed.mh, params.l_prime)
         pieces.append(z_bits)
     key = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
-    assert len(key) == params.l
+    if len(key) != params.l:
+        raise LengthMismatch(f"key has {len(key)} bits, plan expects {params.l}")
     return DistillResult(key_bits=key, y_blocks=y_blocks, y_tail=y_tail,
                          z_bits=z_bits)
 

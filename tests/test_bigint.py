@@ -3,41 +3,41 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpa import bigint, oracle
+from qpa import bigint, bitio, oracle
 from qpa.bigint import BigUint
-from qpa.errors import OperandTooLarge, Overflow
+from qpa.errors import OperandTooLarge
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=0, max_size=200).map(
     lambda v: np.array(v, dtype=np.uint8))
 
 
-def test_from_bit_stream_examples():
-    empty = bigint.from_bit_stream(np.zeros(0, dtype=np.uint8))
-    assert empty.to_int() == 0 and empty.bit_len == 0
+# bit i of a stream is bit i of the integer (bitio); the limb layout
+# below it belongs to bigint
 
-    one = bigint.from_bit_stream(
-        np.array([1] + [0] * 24, dtype=np.uint8))
-    assert one.to_int() == 1 and one.bit_len == 25
-    assert one.limbs.tolist() == [1, 0]
+def test_from_bit_stream_examples():
+    assert bitio.int_from_bits(np.zeros(0, dtype=np.uint8)) == 0
+
+    one = bitio.int_from_bits(np.array([1] + [0] * 24, dtype=np.uint8))
+    assert one == 1
+    assert BigUint.from_int(one, 25).limbs.tolist() == [1, 0]
 
     bit24 = np.zeros(25, dtype=np.uint8)
     bit24[24] = 1
-    x = bigint.from_bit_stream(bit24)
-    assert x.limbs.tolist() == [0, 1]
-    assert x.to_int() == 1 << 24
+    x = bitio.int_from_bits(bit24)
+    assert x == 1 << 24
+    assert BigUint.from_int(x, 25).limbs.tolist() == [0, 1]
 
 
 def test_to_bit_stream_examples():
-    assert bigint.to_bit_stream(BigUint.from_int(0), 8).tolist() == [0] * 8
-    bits = bigint.to_bit_stream(BigUint.from_int(1 << 24), 25)
-    assert bits.tolist() == [0] * 24 + [1]
-    with pytest.raises(Overflow):
-        bigint.to_bit_stream(BigUint.from_int(256), 8)
+    assert bitio.bits_from_int(0, 8).tolist() == [0] * 8
+    assert bitio.bits_from_int(1 << 24, 25).tolist() == [0] * 24 + [1]
+    with pytest.raises(ValueError):
+        bitio.bits_from_int(256, 8)
 
 
 @given(bit_arrays)
 def test_bit_stream_round_trip(bits):
-    out = bigint.to_bit_stream(bigint.from_bit_stream(bits), len(bits))
+    out = bitio.bits_from_int(bitio.int_from_bits(bits), len(bits))
     assert out.tolist() == bits.tolist()
 
 
@@ -83,3 +83,18 @@ def test_operand_too_large():
                            bigint.MAX_OPERAND_BITS + 1)
     with pytest.raises(OperandTooLarge):
         bigint.mul_ntt(big, BigUint.from_int(1))
+
+
+def test_dot_sums_shifted_row_products():
+    rng = np.random.default_rng(5)
+    bits = 3000
+    xs = [int.from_bytes(rng.bytes(bits // 8), "little") for _ in range(40)]
+    coeffs = [int.from_bytes(rng.bytes(bits // 8), "little") for _ in range(43)]
+    x = bigint.Words.from_ints(xs, bits)
+    a = bigint.Words.from_ints(coeffs, bits)
+    assert x.value(39) == xs[39]
+    for offset in (0, 3):
+        assert bigint.dot(x, a, offset) == sum(
+            v * coeffs[k + offset] for k, v in enumerate(xs))
+    with pytest.raises(ValueError):
+        bigint.dot(x, a, 4)

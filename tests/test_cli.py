@@ -1,6 +1,11 @@
-import numpy as np
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+
+import qpa
 from qpa import bitio, cli, pipeline
 
 
@@ -30,6 +35,11 @@ def test_plan_invalid_params(capsys):
                 "--gamma-exp", 7]) == cli.EXIT_PARAM
     assert run(["plan", "--in-bits", 100, "--out-bits", 10,
                 "--gamma-exp", 8]) == cli.EXIT_PARAM
+    # a Mersenne exponent too wide for the multiplier fails at plan time
+    assert run(["plan", "--in-bits", 10 ** 6, "--out-bits", 10 ** 5,
+                "--gamma-exp", 859433]) == cli.EXIT_PARAM
+    assert run(["plan", "--in-bits", 10 ** 6, "--out-bits", 10 ** 5,
+                "--gamma-exp", 756839]) == cli.EXIT_OK
 
 
 def test_gen_seed_size(tmp_path, capsys):
@@ -127,17 +137,43 @@ def test_distill_worker_determinism(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("QPA_WORKERS", "5")
-    args = cli.build_parser().parse_args(
-        ["bench", "--in-bits", "100", "--out-bits", "10", "--gamma-exp", "7"])
-    assert args.workers == 5
+def zero_distill_args(tmp_path, out_bits=14):
+    """56 zero key bits and 77 zero seed bits at gamma = 7."""
+    key = tmp_path / "key.bin"
+    seed = tmp_path / "seed.bin"
+    key.write_bytes(bytes(7))
+    seed.write_bytes(bytes(10))
+    return ["distill", "--input", key, "--seed", seed,
+            "--output", tmp_path / "out.bin", "--out-bits", out_bits,
+            "--gamma-exp", 7]
 
 
-def test_bench_runs(capsys):
-    assert run(["bench", "--in-bits", 1270, "--out-bits", 300,
-                "--gamma-exp", 127, "--workers", 2]) == 0
-    assert "throughput" in capsys.readouterr().out
+def test_workers_env_default(tmp_path, monkeypatch):
+    seen = []
+    real = pipeline.ThreadPoolExecutor
+
+    def recording(max_workers):
+        seen.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", recording)
+    monkeypatch.setenv("QPA_WORKERS", "3")
+    assert run(zero_distill_args(tmp_path)) == 0
+    assert seen == [3]
+
+
+def test_bad_worker_counts_are_param_errors(tmp_path, monkeypatch, capsys):
+    args = zero_distill_args(tmp_path)
+    monkeypatch.setenv("QPA_WORKERS", "abc")
+    assert run(args) == cli.EXIT_PARAM
+    assert "QPA_WORKERS='abc'" in capsys.readouterr().err
+    # commands that run no passes do not read it
+    assert run(["plan", "--in-bits", 100, "--out-bits", 10,
+                "--gamma-exp", 7]) == 0
+    monkeypatch.delenv("QPA_WORKERS")
+    for workers in (0, -3):
+        assert run(args + ["--workers", workers]) == cli.EXIT_PARAM
+        assert "at least 1" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):
@@ -145,3 +181,19 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "negative control" in out
+
+
+def test_selftest_detects_fault_under_optimize():
+    # -O strips assert statements; the selftest checks must still fire
+    src = str(Path(qpa.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from qpa import cli, goldilocks\n"
+            "goldilocks.fe_mul = lambda a, b: 0\n"
+            "sys.exit(cli.main(['selftest']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == cli.EXIT_SELFTEST, proc.stdout + proc.stderr
+    assert "FAIL  field multiply vs wide-integer oracle" in proc.stdout

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpa import mersenne
-from qpa.bigint import BigUint
-from qpa.errors import InputTooWide, InvalidGamma, ParamMismatch
-from qpa.mersenne import MersenneParams, MersenneResidue
+from qpa.errors import InvalidGamma
+from qpa.mersenne import MersenneParams, fold
 
 
 def test_params_validation():
@@ -18,75 +16,53 @@ def test_params_validation():
 
 
 def test_reduce_examples():
-    params = MersenneParams(7)
-    assert mersenne.reduce(BigUint.from_int(1 << 7), params).value == 1
-    assert mersenne.reduce(BigUint.from_int(127), params).value == 0
-    assert mersenne.reduce(BigUint.from_int(200), params).value == 73
-
-
-def test_reduce_rejects_wide_input():
-    params = MersenneParams(7)
-    with pytest.raises(InputTooWide):
-        mersenne.reduce(BigUint.from_int(1 << 100, 101), params)
+    assert fold(1 << 7, 7) == 1
+    assert fold(127, 7) == 0
+    assert fold(200, 7) == 73
+    # no width limit: 2^100 = 2^(7*14 + 2) = 4 mod 127
+    assert fold(1 << 100, 7) == 4
 
 
 @given(st.sampled_from([7, 13, 31, 127]), st.data())
 def test_reduce_matches_long_division(gamma, data):
-    params = MersenneParams(gamma)
-    x = data.draw(st.integers(0, (1 << (2 * gamma)) - 1))
-    r = mersenne.reduce(BigUint.from_int(x, 2 * gamma), params)
-    assert r.value == x % params.p
-    assert 0 <= r.value <= params.p - 1
+    p = MersenneParams(gamma).p
+    # wider than any pass sum, so fold must take several rounds
+    x = data.draw(st.integers(0, (1 << (4 * gamma + 64)) - 1))
+    r = fold(x, gamma)
+    assert r == x % p
+    assert 0 <= r <= p - 1
 
 
 def test_mod_add_examples():
-    params = MersenneParams(7)
-    x = MersenneResidue(42, params)
-    assert mersenne.mod_add_acc(MersenneResidue(0, params), x).value == 42
-    assert mersenne.mod_add_acc(MersenneResidue(126, params),
-                                MersenneResidue(1, params)).value == 0
-    assert mersenne.mod_add_acc(MersenneResidue(100, params),
-                                MersenneResidue(100, params)).value == 73
+    assert fold(0 + 42, 7) == 42
+    assert fold(126 + 1, 7) == 0
+    assert fold(100 + 100, 7) == 73
 
 
 def test_mod_mul_examples():
-    params = MersenneParams(127)
+    p = MersenneParams(127).p
     rng = np.random.default_rng(0)
-    x = MersenneResidue(int(rng.integers(0, 1 << 60)), params)
-    assert mersenne.mod_mul(MersenneResidue(1, params), x).value == x.value
-    assert mersenne.mod_mul(MersenneResidue(0, params), x).value == 0
+    x = int(rng.integers(0, 1 << 60))
+    assert fold(1 * x, 127) == x
+    assert fold(0 * x, 127) == 0
     for _ in range(10):
-        a = int.from_bytes(rng.bytes(15), "little") % params.p
-        b = int.from_bytes(rng.bytes(15), "little") % params.p
-        got = mersenne.mod_mul(MersenneResidue(a, params),
-                               MersenneResidue(b, params))
-        assert got.value == (a * b) % params.p
-
-
-def test_param_mismatch():
-    a = MersenneResidue(1, MersenneParams(7))
-    b = MersenneResidue(1, MersenneParams(13))
-    with pytest.raises(ParamMismatch):
-        mersenne.mod_add_acc(a, b)
-    with pytest.raises(ParamMismatch):
-        mersenne.mod_mul(a, b)
+        a = int.from_bytes(rng.bytes(15), "little") % p
+        b = int.from_bytes(rng.bytes(15), "little") % p
+        assert fold(a * b, 127) == (a * b) % p
 
 
 @given(st.data())
 def test_add_associative_commutative(data):
-    params = MersenneParams(31)
-    vals = [data.draw(st.integers(0, params.p - 1)) for _ in range(3)]
-    a, b, c = (MersenneResidue(v, params) for v in vals)
-    add = mersenne.mod_add_acc
-    assert add(a, b).value == add(b, a).value
-    assert add(add(a, b), c).value == add(a, add(b, c)).value
+    p = MersenneParams(31).p
+    a, b, c = (data.draw(st.integers(0, p - 1)) for _ in range(3))
+    assert fold(a + b, 31) == fold(b + a, 31)
+    assert fold(fold(a + b, 31) + c, 31) == fold(a + fold(b + c, 31), 31)
 
 
 @given(st.data())
 def test_mul_distributes_over_add(data):
-    params = MersenneParams(31)
-    vals = [data.draw(st.integers(0, params.p - 1)) for _ in range(3)]
-    a, b, c = (MersenneResidue(v, params) for v in vals)
-    lhs = mersenne.mod_mul(a, mersenne.mod_add_acc(b, c))
-    rhs = mersenne.mod_add_acc(mersenne.mod_mul(a, b), mersenne.mod_mul(a, c))
-    assert lhs.value == rhs.value
+    p = MersenneParams(31).p
+    a, b, c = (data.draw(st.integers(0, p - 1)) for _ in range(3))
+    lhs = fold(a * fold(b + c, 31), 31)
+    rhs = fold(fold(a * b, 31) + fold(a * c, 31), 31)
+    assert lhs == rhs

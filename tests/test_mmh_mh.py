@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from qpa import bitio, mmh_mh
-from qpa.dm3h import BlockVector, Dm3hSeed
+from qpa.dm3h import BlockVector, Dm3hSeed, mmh_pass
 from qpa.errors import InvalidOutputLen
 from qpa.mersenne import MersenneParams, MersenneResidue
 from qpa.mmh_mh import MhSeed
 
 
 def test_core_definition_example():
-    # alpha = 8, beta = 3: (3*100 + 1) mod 256 = 45, floor(45/32) = 1
-    assert mmh_mh._mh_core(100, 3, 1, 8, 3) == 1
+    # gamma = 7, l' = 3: (3*100 + 1) mod 128 = 45, floor(45/16) = 2
+    y = MersenneResidue(100, MersenneParams(7))
+    assert bitio.int_from_bits(mmh_mh.mh_hash(y, MhSeed(b=3, c=1), 3)) == 2
 
 
 def test_identity_affine_map_keeps_top_bits():
@@ -57,9 +58,14 @@ def test_affine_structure_in_c():
     params = MersenneParams(7)
     y = MersenneResidue(93, params)
     b = 57
-    base = mmh_mh._mh_core(y.value, b, 0, 7, 7)
-    for delta in (1, 13, 100, 127):
-        assert mmh_mh._mh_core(y.value, b, delta, 7, 7) == (base + delta) % 128
+
+    def tail(c):
+        # l' = 6 keeps all but the lowest bit of t = (b*y + c) mod 128
+        return bitio.int_from_bits(mmh_mh.mh_hash(y, MhSeed(b=b, c=c), 6))
+
+    base = (b * y.value) % 128
+    for delta in (0, 1, 13, 100, 127):
+        assert tail(delta) == ((base + delta) % 128) >> 1
 
 
 def test_composition_hand_example():
@@ -68,7 +74,7 @@ def test_composition_hand_example():
     params = MersenneParams(7)
     x = BlockVector.from_values([3, 5], params)
     A = Dm3hSeed.from_values([1, 1, 1, 2], params)
-    bits = mmh_mh.mmh_mh_hash(x, A, MhSeed(b=5, c=9), 1, 4)
+    bits = mmh_mh.mh_hash(mmh_pass(x, A, 2), MhSeed(b=5, c=9), 4)
     assert bitio.int_from_bits(bits) == 6
 
 
@@ -85,7 +91,7 @@ def test_composition_matches_naive_tail():
         x = BlockVector.from_values(xs, params)
         A = Dm3hSeed.from_values(coeffs, params)
         got = bitio.int_from_bits(
-            mmh_mh.mmh_mh_hash(x, A, MhSeed(b=b, c=c), m, l_prime))
+            mmh_mh.mh_hash(mmh_pass(x, A, m + 1), MhSeed(b=b, c=c), l_prime))
         y = sum(coeffs[j + m] * xs[j] for j in range(3)) % p
         expected = ((b * y + c) % (1 << 31)) >> (31 - l_prime)
         assert got == expected

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qpa import dm3h, oracle, pipeline
-from qpa.errors import AllOnesBlock, InvalidGamma, InvalidRatio, LengthMismatch
+from qpa import bigint, dm3h, ntt, oracle, pipeline
+from qpa.errors import (AllOnesBlock, InvalidGamma, InvalidRatio,
+                        InvalidWorkers, LengthMismatch)
 
 
 def random_instance(rng, params, all_ones_policy="retry"):
@@ -40,6 +41,10 @@ def test_plan_validation():
         pipeline.plan(100, 101, 7)
     with pytest.raises(InvalidGamma):
         pipeline.plan(100, 10, 8)
+    # a known exponent whose blocks overflow the largest transform
+    with pytest.raises(InvalidGamma):
+        pipeline.plan(10 ** 6, 10 ** 5, 859433)
+    assert pipeline.plan(10 ** 6, 10 ** 5, 756839).n == 2
 
 
 def test_required_seed_bits_examples():
@@ -107,25 +112,45 @@ def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("QPA_WORKERS", "3")
     assert pipeline._resolve_workers(None) == 3
     assert pipeline._resolve_workers(2) == 2
+    for bad in ("abc", "0", "-2", ""):
+        monkeypatch.setenv("QPA_WORKERS", bad)
+        with pytest.raises(InvalidWorkers):
+            pipeline._resolve_workers(None)
+    for bad in (0, -1):
+        with pytest.raises(InvalidWorkers):
+            pipeline._resolve_workers(bad)
 
 
 def test_pass_and_multiplication_counts(monkeypatch):
-    params = pipeline.plan(127 * 10, 127 * 2 + 5, 127)
+    # the perf model: each block and seed word is transformed once, each
+    # pass inverts one product per block, and nothing else multiplies
+    counts = {}
+
+    def counting(module, attr, weight):
+        real = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[attr] += weight(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
+
+    def rows(arr):
+        return arr.shape[0] if arr.ndim > 1 else 1
+
+    counting(ntt, "ntt_forward", rows)
+    counting(ntt, "ntt_inverse", rows)
+    counting(bigint, "mul_ntt", lambda _: 1)
     rng = np.random.default_rng(6)
-    x, seed = random_instance(rng, params)
-    calls = []
-    real = dm3h.mmh_pass
-
-    def counting(blocks, A, i):
-        calls.append(i)
-        return real(blocks, A, i)
-
-    monkeypatch.setattr(dm3h, "mmh_pass", counting)
-    pipeline.distill(x, seed, params)
-    assert sorted(calls) == list(range(1, params.m + 2))
-    assert params.pass_count == params.m + 1
-    # each pass multiplies every block exactly once
-    assert params.n == 10
+    shapes = {(False, 2): 127 * 2, (True, 0): 100, (True, 2): 127 * 2 + 5}
+    for (has_tail, m), l in shapes.items():
+        params = pipeline.plan(127 * 10, l, 127)
+        assert (params.l_prime > 0, params.m) == (has_tail, m)
+        x, seed = random_instance(rng, params)
+        counts.update(ntt_forward=0, ntt_inverse=0, mul_ntt=0)
+        pipeline.distill(x, seed, params)
+        assert counts == {"ntt_forward": params.n + params.seed_words,
+                          "ntt_inverse": params.n * params.pass_count,
+                          "mul_ntt": 0}, (params, counts)
 
 
 def test_distill_blocks_rejects_wrong_block_count():
