@@ -23,8 +23,10 @@ _U64 = np.uint64
 # bit-reversed order for the 16-point butterfly
 _REV16 = np.array([0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15])
 
-# rows per chunk when batching, to bound temporary memory
-_CHUNK_ELEMS = 1 << 22
+# values per chunk when batching: 512 KB of uint64, so a chunk and its
+# temporaries stay in cache (a 65536-point row transforms about 2.5x
+# faster than in chunks of 2^22 values on a 2-CPU x86 VM)
+_CHUNK_ELEMS = 1 << 16
 
 _twiddle_cache: dict[tuple[int, bool], np.ndarray] = {}
 
@@ -42,59 +44,64 @@ def _root_powers(length: int, inverse: bool) -> np.ndarray:
 
 
 def _twiddle_table(length: int, inverse: bool) -> np.ndarray:
-    """Inter-stage twiddles w^(r*k') for r < 16, k' < length/16."""
+    """Inter-stage twiddles w^(rev(p)*n) for p < 16, n < length/16.
+
+    Row p belongs to frequency rev(p): _dft16 leaves its output in
+    bit-reversed order.
+    """
     key = (length, inverse)
     table = _twiddle_cache.get(key)
     if table is None:
         powers = _root_powers(length, inverse)
-        r = np.arange(16)
-        k = np.arange(length // 16)
-        table = powers[np.outer(r, k) % length]
+        n = np.arange(length // 16)
+        table = powers[np.outer(_REV16, n) % length]
         _twiddle_cache[key] = table
     return table
 
 
-def _dft16(y: np.ndarray, inverse: bool) -> np.ndarray:
-    """16-point transform along axis 1 of a (batch, 16, cols) array.
+def _dft16(y: np.ndarray, inverse: bool) -> None:
+    """In-place 16-point transform along axis 0 of a (16, cols) array.
 
-    Radix-2 stages whose twiddles are all powers of w16 = 2^12, applied
-    as shifts.
+    Radix-2 decimation in frequency: natural-order input, bit-reversed
+    output.  Every twiddle is a power of w16 = 2^12, applied as a shift.
     """
-    y = y[:, _REV16, :].copy()
-    h = 1
-    while h < 16:
-        step = 2 * h
-        exp_scale = 16 // step
+    h = 8
+    while h:
         for j in range(h):
-            k = (exp_scale * j) % 16
-            if inverse:
-                k = (-k) % 16
-            a = y[:, j::step, :]
-            b = y[:, j + h::step, :]
-            t = b if k == 0 else gl.v_shl(b, 12 * k)
-            hi = gl.v_add(a, t)
-            lo = gl.v_sub(a, t)
-            y[:, j::step, :] = hi
-            y[:, j + h::step, :] = lo
-        h = step
-    return y
+            k = j * (8 // h)  # twiddle w16^k, or w16^-k = -w16^(8-k)
+            a = y[j::2 * h]
+            b = y[j + h::2 * h]
+            if k == 0:
+                d = gl.v_sub(a, b)
+            elif inverse:
+                d = gl.v_shl(gl.v_sub(b, a), 12 * (8 - k))
+            else:
+                d = gl.v_shl(gl.v_sub(a, b), 12 * k)
+            a[...] = gl.v_add(a, b)
+            b[...] = d
+        h //= 2
 
 
-def _transform(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """Recursive radix-16 decimation-in-time on a (batch, length) array."""
-    length = a.shape[1]
+def _transform(d: np.ndarray, inverse: bool) -> np.ndarray:
+    """Transform along axis 0 of a (length, m) array, overwriting it.
+
+    Radix-16 decimation in frequency with the independent columns
+    innermost, so every elementwise kernel runs on length*m/16
+    contiguous values.
+    """
+    length, m = d.shape
     if length == 1:
-        return a
+        return d
     cols = length // 16
-    batch = a.shape[0]
-    x = a.reshape(batch, cols, 16)
-    x = np.ascontiguousarray(np.swapaxes(x, 1, 2))  # (batch, 16, cols)
-    sub = _transform(x.reshape(batch * 16, cols), inverse)
-    sub = sub.reshape(batch, 16, cols)
+    y = d.reshape(16, cols * m)
+    _dft16(y, inverse)
+    y = y.reshape(16, cols, m)
     if cols > 1:
-        sub = gl.v_mul(sub, _twiddle_table(length, inverse)[None, :, :])
-    out = _dft16(sub, inverse)
-    return out.reshape(batch, length)
+        y = gl.v_mul(y, _twiddle_table(length, inverse)[:, :, None])
+    z = np.empty((cols, 16, m), dtype=_U64)
+    for p, q in enumerate(_REV16):
+        z[:, q, :] = y[p]
+    return _transform(z.reshape(cols, 16 * m), inverse).reshape(length, m)
 
 
 def _check_input(v: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -112,15 +119,14 @@ def _run(v: np.ndarray, inverse: bool) -> np.ndarray:
     if length not in SUPPORTED_LENGTHS:
         raise UnsupportedLength(f"length {length} not in {SUPPORTED_LENGTHS}")
     rows_per_chunk = max(1, _CHUNK_ELEMS // length)
-    if arr.shape[0] <= rows_per_chunk:
-        out = _transform(arr, inverse)
-    else:
-        out = np.empty_like(arr)
-        for start in range(0, arr.shape[0], rows_per_chunk):
-            stop = start + rows_per_chunk
-            out[start:stop] = _transform(arr[start:stop], inverse)
-    if inverse:
-        out = gl.v_mul(out, _U64(gl.fe_inv(length)))
+    scale = _U64(gl.fe_inv(length)) if inverse else None
+    out = np.empty_like(arr)
+    for start in range(0, arr.shape[0], rows_per_chunk):
+        stop = start + rows_per_chunk
+        block = _transform(np.array(arr[start:stop].T, order="C"), inverse)
+        if inverse:
+            block = gl.v_mul(block, scale)
+        out[start:stop] = block.T
     return out[0] if squeeze else out
 
 
