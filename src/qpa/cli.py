@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -160,6 +161,25 @@ def _selftest_suites():
         _check(np.array_equal(ntt.ntt_forward(v), spectrum),
                "clearing the cache did not restore the transform")
 
+    def weight_negative_control():
+        # a corrupted digit weight must break a weighted ring product
+        gamma = 521
+        p = (1 << gamma) - 1
+        x, y = p - 1, int.from_bytes(rng.bytes(66), "little") % p
+
+        def product():
+            return mersenne.fold(bigint.dot(bigint.Words.from_ints([x], gamma),
+                                            bigint.Words.from_ints([y], gamma)), gamma)
+
+        _check(product() == x * y % p, "weighted product")
+        bigint._testing_corrupt_weight(gamma)
+        try:
+            _check(product() != x * y % p, "corruption went undetected")
+        finally:
+            bigint._testing_clear_cache()
+        _check(product() == x * y % p,
+               "clearing the cache did not restore the product")
+
     return [
         ("field multiply vs wide-integer oracle", field_oracle),
         ("ntt round trip and naive cross-check", ntt_roundtrip),
@@ -167,19 +187,21 @@ def _selftest_suites():
         ("distill vs naive oracle (gamma=7)", distill_equivalence),
         ("universality census (gamma=3, n=2, m=2)", census),
         ("twiddle fault injection (negative control)", negative_control),
+        ("digit weight fault injection (negative control)", weight_negative_control),
     ]
 
 
 def cmd_selftest(args) -> int:
     failures = 0
     for name, suite in _selftest_suites():
+        start = time.perf_counter()
         try:
             suite()
         except Exception as exc:  # report per suite, keep going
             failures += 1
-            print(f"FAIL  {name}: {exc}")
+            print(f"FAIL  {name} ({time.perf_counter() - start:.2f} s): {exc}")
         else:
-            print(f"ok    {name}")
+            print(f"ok    {name} ({time.perf_counter() - start:.2f} s)")
     return EXIT_SELFTEST if failures else EXIT_OK
 
 

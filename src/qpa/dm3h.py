@@ -5,8 +5,10 @@ little-endian gamma-bit blocks, and each shifted pass i computes
 
     y_i = sum_{j=1..n} a_{j+i-1} * x_j  (mod 2^gamma - 1).
 
-Blocks and seed coefficients are ``bigint.Words`` matrices; the sum of
-products is ``bigint.dot`` and this module only folds it modulo p.
+Blocks and seed coefficients are ``bigint.Words``, which keep each
+word's weighted forward spectrum; ``bigint.dot`` sums a pass in the
+spectrum and returns an int congruent to it modulo p, and this module
+folds that int to the canonical residue.
 Raw input blocks equal to the all-ones pattern do not embed injectively
 into Z_p and are rejected with their indices; replacement policy
 belongs to the caller.
@@ -41,7 +43,7 @@ class BlockVector:
 
     def value(self, j: int) -> int:
         """Block value, 1-based index."""
-        return self.words.value(j - 1)
+        return self.words.values[j - 1]
 
     def values(self) -> list[int]:
         return [self.value(j) for j in range(1, self.n + 1)]
@@ -69,7 +71,7 @@ class Dm3hSeed:
 
     def value(self, k: int) -> int:
         """Coefficient value, 1-based index."""
-        return self.words.value(k - 1)
+        return self.words.values[k - 1]
 
     def values(self) -> list[int]:
         return [self.value(k) for k in range(1, self.count + 1)]

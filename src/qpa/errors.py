@@ -49,7 +49,7 @@ class InvalidRatio(QpaError):
 
 
 class InvalidGamma(QpaError):
-    """Exponent is not a known Mersenne-prime exponent or exceeds the multiplier."""
+    """Exponent is not a known Mersenne-prime exponent or exceeds the transform."""
 
 
 class InvalidWorkers(QpaError):
@@ -58,3 +58,7 @@ class InvalidWorkers(QpaError):
 
 class TooLargeToEnumerate(QpaError):
     """Seed space too large for exhaustive enumeration."""
+
+
+class TooManyBlocks(QpaError):
+    """More input blocks than one pass can sum exactly in the transform."""

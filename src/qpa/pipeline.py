@@ -21,7 +21,8 @@ import numpy as np
 
 from . import bigint, bitio, dm3h, mmh_mh
 from .dm3h import BlockVector, Dm3hSeed, split_and_pad
-from .errors import InvalidGamma, InvalidRatio, InvalidWorkers, LengthMismatch
+from .errors import (InvalidGamma, InvalidRatio, InvalidWorkers, LengthMismatch,
+                     TooManyBlocks)
 from .mersenne import MersenneParams, MersenneResidue
 from .mmh_mh import MhSeed
 
@@ -68,12 +69,16 @@ class SeedMaterial:
 def plan(N: int, l: int, gamma: int) -> PaParams:
     """Derive (n, m, l') for an N-bit input and l-bit output."""
     params = MersenneParams(gamma)  # raises InvalidGamma
-    if gamma > bigint.MAX_OPERAND_BITS:
-        raise InvalidGamma(f"gamma {gamma} exceeds the {bigint.MAX_OPERAND_BITS}-bit "
+    if gamma > bigint.MAX_GAMMA:
+        raise InvalidGamma(f"gamma {gamma} exceeds the {bigint.MAX_GAMMA}-bit "
                            f"operands of the ring product")
     if l <= 0 or l > N:
         raise InvalidRatio(f"need 0 < l <= N, got l = {l}, N = {N}")
     n = -(-N // gamma)
+    n_max = bigint.max_rows(gamma)
+    if n > n_max:
+        raise TooManyBlocks(f"{n} blocks exceed the {n_max} a pass sums "
+                            f"exactly at gamma {gamma}")
     m = l // gamma
     l_prime = l - m * gamma
     return PaParams(gamma=params.gamma, N=N, l=l, n=n, m=m, l_prime=l_prime)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpa import bigint, bitio, oracle
+from qpa import bigint, bitio, ntt, oracle
 from qpa.bigint import BigUint
-from qpa.errors import OperandTooLarge
+from qpa.errors import OperandTooLarge, TooManyBlocks
+from qpa.goldilocks import P64
+from qpa.mersenne import fold
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=0, max_size=200).map(
     lambda v: np.array(v, dtype=np.uint8))
@@ -87,14 +89,108 @@ def test_operand_too_large():
 
 def test_dot_sums_shifted_row_products():
     rng = np.random.default_rng(5)
-    bits = 3000
-    xs = [int.from_bytes(rng.bytes(bits // 8), "little") for _ in range(40)]
-    coeffs = [int.from_bytes(rng.bytes(bits // 8), "little") for _ in range(43)]
-    x = bigint.Words.from_ints(xs, bits)
-    a = bigint.Words.from_ints(coeffs, bits)
-    assert x.value(39) == xs[39]
+    gamma = 3000
+    p = (1 << gamma) - 1
+    xs = [int.from_bytes(rng.bytes(gamma // 8), "little") for _ in range(40)]
+    coeffs = [int.from_bytes(rng.bytes(gamma // 8), "little") for _ in range(43)]
+    x = bigint.Words.from_ints(xs, gamma)
+    a = bigint.Words.from_ints(coeffs, gamma)
+    assert x.values[39] == xs[39]
     for offset in (0, 3):
-        assert bigint.dot(x, a, offset) == sum(
-            v * coeffs[k + offset] for k, v in enumerate(xs))
+        assert fold(bigint.dot(x, a, offset), gamma) == sum(
+            v * coeffs[k + offset] for k, v in enumerate(xs)) % p
     with pytest.raises(ValueError):
         bigint.dot(x, a, 4)
+
+
+def test_transform_shape_and_row_limit():
+    assert bigint.transform_shape(7) == (16, 1)
+    assert bigint.transform_shape(521) == (256, 3)
+    assert bigint.transform_shape(19937) == (4096, 5)
+    assert bigint.transform_shape(756839) == (65536, 12)
+    assert bigint.transform_shape(bigint.MAX_GAMMA) == (65536, 12)
+    with pytest.raises(OperandTooLarge):
+        bigint.transform_shape(bigint.MAX_GAMMA + 1)
+    # n products of coefficients below 2L(2^b - 1)^2 stay below p
+    assert bigint.max_rows(756839) == 8392705
+    assert 8392705 * 2 * 65536 * 4095 ** 2 < P64 <= 8392706 * 2 * 65536 * 4095 ** 2
+
+
+@pytest.mark.parametrize("length", ntt.SUPPORTED_LENGTHS)
+def test_theta_is_a_root_of_two(length):
+    assert pow(bigint._theta(length), length, P64) == 2
+
+
+def digit_boundary_bits(gamma):
+    """Bits e_j - 1 and e_j for every digit start e_j = ceil(j*gamma/L)."""
+    length, _ = bigint.transform_shape(gamma)
+    starts = {-(-j * gamma // length) for j in range(1, length)}
+    return sorted({e + d for e in starts for d in (-1, 0) if 0 <= e + d < gamma})
+
+
+def ring_values(gamma):
+    p = (1 << gamma) - 1
+    return st.one_of(
+        st.integers(0, p),
+        st.sampled_from([0, 1, p - 1, p]),
+        st.sampled_from(digit_boundary_bits(gamma)).map(lambda i: 1 << i))
+
+
+@pytest.mark.parametrize("gamma", [7, 31, 127, 521])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dot_matches_plain_ints(gamma, data):
+    p = (1 << gamma) - 1
+    n = data.draw(st.integers(1, 6))
+    extra = data.draw(st.integers(0, 4))
+    xs = data.draw(st.lists(ring_values(gamma), min_size=n, max_size=n))
+    coeffs = data.draw(st.lists(ring_values(gamma), min_size=n + extra,
+                                max_size=n + extra))
+    x = bigint.Words.from_ints(xs, gamma)
+    a = bigint.Words.from_ints(coeffs, gamma)
+    for offset in range(extra + 1):
+        assert fold(bigint.dot(x, a, offset), gamma) == sum(
+            v * coeffs[k + offset] for k, v in enumerate(xs)) % p
+
+
+@pytest.mark.parametrize("gamma", [19937, 756839])
+def test_dot_three_rows_of_p_minus_one(gamma):
+    # every digit at its maximum: the largest coefficients a pass sees
+    rng = np.random.default_rng(gamma)
+    p = (1 << gamma) - 1
+    xs = [p - 1, int.from_bytes(rng.bytes(gamma // 8), "little"), p - 1]
+    coeffs = [p - 1] * 3 + [int.from_bytes(rng.bytes(gamma // 8), "little")]
+    x = bigint.Words.from_ints(xs, gamma)
+    a = bigint.Words.from_ints(coeffs, gamma)
+    for offset in (0, 1):
+        assert fold(bigint.dot(x, a, offset), gamma) == sum(
+            v * coeffs[k + offset] for k, v in enumerate(xs)) % p
+
+
+def test_dot_checks_its_operands(monkeypatch):
+    x = bigint.Words.from_ints([1, 2], 7)
+    with pytest.raises(ValueError):
+        bigint.dot(x, bigint.Words.from_ints([1, 2], 31))
+    with pytest.raises(ValueError):
+        bigint.Words.from_ints([1 << 7], 7)
+    monkeypatch.setattr(bigint, "max_rows", lambda gamma: 1)
+    with pytest.raises(TooManyBlocks):
+        bigint.dot(x, x)
+
+
+def test_corrupt_weight_is_detected_and_cleared():
+    gamma = 127
+    p = (1 << gamma) - 1
+    x, y = p - 1, 0x1234567890ABCDEF1234567890ABCDEF % p
+
+    def product():
+        return fold(bigint.dot(bigint.Words.from_ints([x], gamma),
+                               bigint.Words.from_ints([y], gamma)), gamma)
+
+    assert product() == x * y % p
+    bigint._testing_corrupt_weight(gamma)
+    try:
+        assert product() != x * y % p
+    finally:
+        bigint._testing_clear_cache()
+    assert product() == x * y % p

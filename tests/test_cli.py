@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,13 @@ def test_plan_invalid_params(capsys):
                 "--gamma-exp", 859433]) == cli.EXIT_PARAM
     assert run(["plan", "--in-bits", 10 ** 6, "--out-bits", 10 ** 5,
                 "--gamma-exp", 756839]) == cli.EXIT_OK
+    # one block more than a pass can sum exactly
+    n_max = 8392705
+    assert run(["plan", "--in-bits", n_max * 756839, "--out-bits", 10 ** 6,
+                "--gamma-exp", 756839]) == cli.EXIT_OK
+    assert run(["plan", "--in-bits", n_max * 756839 + 1, "--out-bits", 10 ** 6,
+                "--gamma-exp", 756839]) == cli.EXIT_PARAM
+    assert "8392706 blocks" in capsys.readouterr().err
 
 
 def test_gen_seed_size(tmp_path, capsys):
@@ -181,6 +189,18 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "negative control" in out
+
+
+def test_selftest_prints_suite_times(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("boom")
+
+    suites = [("passing suite", lambda: None), ("failing suite", broken)]
+    monkeypatch.setattr(cli, "_selftest_suites", lambda: suites)
+    assert run(["selftest"]) == cli.EXIT_SELFTEST
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"ok    passing suite \(\d+\.\d\d s\)", lines[0])
+    assert re.fullmatch(r"FAIL  failing suite \(\d+\.\d\d s\): boom", lines[1])
 
 
 def test_selftest_detects_fault_under_optimize():

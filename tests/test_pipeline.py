@@ -3,7 +3,7 @@ import pytest
 
 from qpa import bigint, dm3h, ntt, oracle, pipeline
 from qpa.errors import (AllOnesBlock, InvalidGamma, InvalidRatio,
-                        InvalidWorkers, LengthMismatch)
+                        InvalidWorkers, LengthMismatch, TooManyBlocks)
 
 
 def random_instance(rng, params, all_ones_policy="retry"):
@@ -45,6 +45,15 @@ def test_plan_validation():
     with pytest.raises(InvalidGamma):
         pipeline.plan(10 ** 6, 10 ** 5, 859433)
     assert pipeline.plan(10 ** 6, 10 ** 5, 756839).n == 2
+
+
+def test_plan_block_limit():
+    # n_max = (p64 - 1) // (2L(2^b - 1)^2) at L = 65536, b = 12
+    n_max = bigint.max_rows(756839)
+    assert n_max == 8392705
+    assert pipeline.plan(n_max * 756839, 10 ** 6, 756839).n == n_max
+    with pytest.raises(TooManyBlocks):
+        pipeline.plan(n_max * 756839 + 1, 10 ** 6, 756839)
 
 
 def test_required_seed_bits_examples():
@@ -123,8 +132,9 @@ def test_workers_env_default(monkeypatch):
 
 def test_pass_and_multiplication_counts(monkeypatch):
     # the perf model: each block and seed word is transformed once, each
-    # pass inverts one product per block, and nothing else multiplies
-    counts = {}
+    # pass sums its products in the spectrum and inverts once, and nothing
+    # else multiplies
+    counts = dict.fromkeys(("ntt_forward", "ntt_inverse", "mul_ntt"), 0)
 
     def counting(module, attr, weight):
         real = getattr(module, attr)
@@ -145,11 +155,14 @@ def test_pass_and_multiplication_counts(monkeypatch):
     for (has_tail, m), l in shapes.items():
         params = pipeline.plan(127 * 10, l, 127)
         assert (params.l_prime > 0, params.m) == (has_tail, m)
-        x, seed = random_instance(rng, params)
+        x, _ = random_instance(rng, params)
+        seed_bits = rng.integers(0, 2, size=pipeline.required_seed_bits(params),
+                                 dtype=np.uint8)
+        # one operation: seed ingest, then the distillation
         counts.update(ntt_forward=0, ntt_inverse=0, mul_ntt=0)
-        pipeline.distill(x, seed, params)
+        pipeline.distill(x, pipeline.seed_from_bits(seed_bits, params), params)
         assert counts == {"ntt_forward": params.n + params.seed_words,
-                          "ntt_inverse": params.n * params.pass_count,
+                          "ntt_inverse": params.pass_count,
                           "mul_ntt": 0}, (params, counts)
 
 
