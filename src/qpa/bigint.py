@@ -77,16 +77,6 @@ def _theta(length: int) -> int:
                      gl.fe_pow((1 << 64) % gl.P64, pow(length, -1, 3)))
 
 
-def _powers(base: int, count: int) -> np.ndarray:
-    """base^0 .. base^(count-1) for a power-of-two count."""
-    out = np.ones(count, dtype=_U64)
-    step = 1
-    while step < count:
-        out[step:2 * step] = gl.v_mul(out[:step], _U64(gl.fe_pow(base, step)))
-        step *= 2
-    return out
-
-
 @dataclass
 class _Layout:
     """Digit positions and weights of the transform for one gamma."""
@@ -120,8 +110,8 @@ def _layout(gamma: int) -> _Layout:
             window=e[:-1] >> 3,
             shift=(e[:-1] & 7).astype(np.uint32),
             mask=((1 << np.diff(e)) - 1).astype(np.uint32),
-            weight=_powers(theta, length)[exponent],
-            unweight=_powers(gl.fe_inv(theta), length)[exponent],
+            weight=gl.powers(theta, length)[exponent],
+            unweight=gl.powers(gl.fe_inv(theta), length)[exponent],
             word=e[:-1] >> 6,
             bit=(e[:-1] & 63).astype(_U64),
             classes=min(length, -(-64 // low)) if low else length)

@@ -2,8 +2,12 @@
 
 One convention everywhere: bit i of a stream is bit i of the integer it
 encodes (little-endian, bit 0 least significant), and inside a byte the
-least-significant bit comes first.  Bit arrays are numpy uint8 arrays of
-0/1 values.
+least-significant bit comes first.
+
+Inside the library key and seed streams stay packed bytes: ``read_words``
+slices gamma-bit words straight out of them.  0/1 arrays (numpy uint8)
+exist only at the public edge: callers may pass them in, where they are
+packed once, and distilled keys come back as them.
 """
 
 from __future__ import annotations
@@ -24,12 +28,6 @@ def bytes_from_bits(bits: np.ndarray) -> bytes:
     return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes()
 
 
-def int_from_bits(bits: np.ndarray) -> int:
-    if len(bits) == 0:
-        return 0
-    return int.from_bytes(bytes_from_bits(bits), "little")
-
-
 def bits_from_int(x: int, width: int) -> np.ndarray:
     if x >> width:
         raise ValueError(f"{x} does not fit in {width} bits")
@@ -37,13 +35,31 @@ def bits_from_int(x: int, width: int) -> np.ndarray:
     return bits_from_bytes(data, width)
 
 
-def as_bit_array(x, nbits: int | None = None) -> np.ndarray:
-    """Accept packed bytes or a 0/1 array and return a bit array."""
-    if isinstance(x, (bytes, bytearray)):
-        if nbits is None:
-            nbits = 8 * len(x)
-        return bits_from_bytes(x, nbits)
-    arr = np.asarray(x, dtype=np.uint8)
-    if nbits is not None and arr.size != nbits:
-        raise ValueError(f"expected {nbits} bits, got {arr.size}")
-    return arr
+def bit_count(data) -> int:
+    """Bits in packed bytes or in a 0/1 array."""
+    if isinstance(data, (bytes, bytearray)):
+        return 8 * len(data)
+    return np.asarray(data).size
+
+
+def read_words(data, gamma: int, count: int, nbits: int | None = None) -> list[int]:
+    """``count`` little-endian gamma-bit ints from the first ``nbits`` bits.
+
+    ``data`` is packed bytes or a 0/1 array, which is packed once;
+    ``nbits`` defaults to all of it.  Bits past ``nbits`` read as 0.
+    """
+    have = bit_count(data)
+    if not isinstance(data, (bytes, bytearray)):
+        data = bytes_from_bits(data)
+    nbits = have if nbits is None else nbits
+    if nbits > have:
+        raise ValueError(f"need {nbits} bits, have {have}")
+    words = []
+    for start in range(0, count * gamma, gamma):
+        stop = min(start + gamma, nbits)
+        if stop <= start:
+            words.append(0)
+            continue
+        value = int.from_bytes(data[start >> 3:(stop + 7) >> 3], "little") >> (start & 7)
+        words.append(value & ((1 << (stop - start)) - 1))
+    return words

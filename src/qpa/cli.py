@@ -61,11 +61,9 @@ def cmd_distill(args) -> int:
     params = pipeline.plan(n_bits, args.out_bits, args.gamma_exp)
     key_data = _read_key_file(args.input, params.N)
     seed_data = _read_key_file(args.seed, pipeline.required_seed_bits(params))
-    seed = pipeline.seed_from_bits(
-        bitio.bits_from_bytes(seed_data, pipeline.required_seed_bits(params)),
-        params)
+    seed = pipeline.seed_from_bits(seed_data, params)
     key_bits = pipeline.distill(
-        bitio.bits_from_bytes(key_data, params.N), seed, params,
+        key_data, seed, params,
         workers=args.workers, all_ones_policy=args.all_ones_policy)
     with open(args.output, "wb") as fh:
         fh.write(bitio.bytes_from_bits(key_bits))

@@ -5,10 +5,11 @@ little-endian gamma-bit blocks, and each shifted pass i computes
 
     y_i = sum_{j=1..n} a_{j+i-1} * x_j  (mod 2^gamma - 1).
 
-Blocks and seed coefficients are ``bigint.Words``, which keep each
-word's weighted forward spectrum; ``bigint.dot`` sums a pass in the
-spectrum and returns an int congruent to it modulo p, and this module
-folds that int to the canonical residue.
+Blocks x_1..x_n and seed coefficients a_1, a_2, ... are both
+``bigint.Words``, read from packed bytes by ``bitio.read_words``; each
+keeps its words' weighted forward spectra.  ``bigint.dot`` sums a pass
+in the spectrum and returns an int congruent to it modulo p, and this
+module folds that int to the canonical residue.
 Raw input blocks equal to the all-ones pattern do not embed injectively
 into Z_p and are rejected with their indices; replacement policy
 belongs to the caller.
@@ -17,7 +18,6 @@ belongs to the caller.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 from . import bigint, bitio
 from .errors import AllOnesBlock, SeedTooShort
@@ -26,71 +26,22 @@ from .mersenne import MersenneParams, MersenneResidue, fold
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class BlockVector:
-    """Input blocks x_1..x_n, one gamma-bit word per row."""
-
-    words: bigint.Words
-    params: MersenneParams
-
-    @property
-    def n(self) -> int:
-        return len(self.words)
-
-    @classmethod
-    def from_values(cls, values, params: MersenneParams) -> "BlockVector":
-        return cls(bigint.Words.from_ints(values, params.gamma), params)
-
-    def value(self, j: int) -> int:
-        """Block value, 1-based index."""
-        return self.words.values[j - 1]
-
-    def values(self) -> list[int]:
-        return [self.value(j) for j in range(1, self.n + 1)]
-
-
-@dataclass
-class Dm3hSeed:
-    """Coefficient sequence a_1..a_{n+m-1} (or a_{n+m} with a tail pass)."""
-
-    words: bigint.Words
-    params: MersenneParams
-
-    @property
-    def count(self) -> int:
-        return len(self.words)
-
-    @classmethod
-    def from_values(cls, values, params: MersenneParams) -> "Dm3hSeed":
-        return cls(bigint.Words.from_ints(values, params.gamma), params)
-
-    @classmethod
-    def from_words(cls, words, params: MersenneParams) -> "Dm3hSeed":
-        """Ingest raw gamma-bit words; the all-ones word reduces to 0."""
-        return cls.from_values([0 if w == params.p else w for w in words], params)
-
-    def value(self, k: int) -> int:
-        """Coefficient value, 1-based index."""
-        return self.words.values[k - 1]
-
-    def values(self) -> list[int]:
-        return [self.value(k) for k in range(1, self.count + 1)]
-
-
-def split_and_pad(X, params: MersenneParams, all_ones_policy: str = "error") -> BlockVector:
+def split_and_pad(X, params: MersenneParams, all_ones_policy: str = "error",
+                  nbits: int | None = None) -> bigint.Words:
     """Zero-pad the stream to n*gamma bits and split into gamma-bit blocks.
 
-    ``X`` is a 0/1 array or packed bytes (LSB-first).  Under the default
-    policy any all-ones raw block raises AllOnesBlock with its 1-based
-    indices; policy "zero" substitutes zero blocks and logs a security
-    warning (the caller opted out of the rejection rule).
+    ``X`` is packed bytes or a 0/1 array (LSB-first), of which the first
+    ``nbits`` bits (default: all) are the key.  Under the default policy
+    any all-ones raw block raises AllOnesBlock with its 1-based indices;
+    policy "zero" substitutes zero blocks and logs a security warning
+    (the caller opted out of the rejection rule).
     """
-    bits = bitio.as_bit_array(X)
-    if len(bits) < 1:
+    if nbits is None:
+        nbits = bitio.bit_count(X)
+    if nbits < 1:
         raise ValueError("input must contain at least one bit")
     gamma = params.gamma
-    n = -(-len(bits) // gamma)
-    values = [bitio.int_from_bits(bits[j * gamma:(j + 1) * gamma]) for j in range(n)]
+    values = bitio.read_words(X, gamma, -(-nbits // gamma), nbits)
     # only a full-width block can equal p; padding zeros keep the rest below
     bad = [j + 1 for j, v in enumerate(values) if v == params.p]
     if bad:
@@ -101,20 +52,20 @@ def split_and_pad(X, params: MersenneParams, all_ones_policy: str = "error") -> 
             "guarantee does not cover substituted blocks", bad)
         for j in bad:
             values[j - 1] = 0
-    return BlockVector.from_values(values, params)
+    return bigint.Words.from_ints(values, gamma)
 
 
-def mmh_pass(x: BlockVector, seed: Dm3hSeed, i: int) -> MersenneResidue:
+def mmh_pass(x: bigint.Words, seed: bigint.Words, i: int) -> MersenneResidue:
     """y_i = sum_j a_{j+i-1} * x_j mod (2^gamma - 1) for pass index i >= 1.
 
     The modular fold is deferred until the whole pass is accumulated.
     """
     if i < 1:
         raise ValueError(f"pass index must be >= 1, got {i}")
-    n = x.n
-    if seed.count < n + i - 1:
+    n = len(x)
+    if len(seed) < n + i - 1:
         raise SeedTooShort(
             f"pass {i} over {n} blocks needs {n + i - 1} coefficients, "
-            f"seed has {seed.count}")
-    total = bigint.dot(x.words, seed.words, i - 1)
-    return MersenneResidue(fold(total, x.params.gamma), x.params)
+            f"seed has {len(seed)}")
+    total = bigint.dot(x, seed, i - 1)
+    return MersenneResidue(fold(total, x.gamma), MersenneParams(x.gamma))

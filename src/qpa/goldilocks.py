@@ -170,6 +170,16 @@ def _shl_small(x, s: int):
     return v_sub(r, n2)
 
 
+def powers(base: int, count: int) -> np.ndarray:
+    """base^0 .. base^(count-1) for a power-of-two count, by doubling."""
+    out = np.ones(count, dtype=_U64)
+    step = 1
+    while step < count:
+        out[step:2 * step] = v_mul(out[:step], _U64(fe_pow(base, step)))
+        step *= 2
+    return out
+
+
 def v_shl(x, s: int):
     """x * 2^s mod p; 2 has multiplicative order 192."""
     s %= 192

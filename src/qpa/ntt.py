@@ -31,18 +31,6 @@ _CHUNK_ELEMS = 1 << 16
 _twiddle_cache: dict[tuple[int, bool], np.ndarray] = {}
 
 
-def _root_powers(length: int, inverse: bool) -> np.ndarray:
-    w = gl.root_of_unity(length)
-    if inverse:
-        w = gl.fe_inv(w)
-    powers = np.empty(length, dtype=_U64)
-    acc = 1
-    for j in range(length):
-        powers[j] = acc
-        acc = gl.fe_mul(acc, w)
-    return powers
-
-
 def _twiddle_table(length: int, inverse: bool) -> np.ndarray:
     """Inter-stage twiddles w^(rev(p)*n) for p < 16, n < length/16.
 
@@ -52,7 +40,8 @@ def _twiddle_table(length: int, inverse: bool) -> np.ndarray:
     key = (length, inverse)
     table = _twiddle_cache.get(key)
     if table is None:
-        powers = _root_powers(length, inverse)
+        w = gl.root_of_unity(length)
+        powers = gl.powers(gl.fe_inv(w) if inverse else w, length)
         n = np.arange(length // 16)
         table = powers[np.outer(_REV16, n) % length]
         _twiddle_cache[key] = table

@@ -14,8 +14,8 @@ import itertools
 
 import numpy as np
 
-from .bigint import MAX_LIMBS, BigUint, LIMB_BITS
-from .errors import AllOnesBlock, TooLargeToEnumerate
+from .bigint import BigUint
+from .errors import AllOnesBlock, LengthMismatch, TooLargeToEnumerate
 from .goldilocks import P64, root_of_unity
 from .pipeline import PaParams, SeedMaterial
 
@@ -45,7 +45,7 @@ def mul_schoolbook(a: BigUint, b: BigUint) -> BigUint:
         return np.array(out, dtype=np.int64)
 
     ha, hb = halves(a), halves(b)
-    # coefficients < min(len) * (2^12)^2 <= 2*MAX_LIMBS * 2^24 = 2^40
+    # coefficients < min(len) * (2^12)^2 <= 65536 * 2^24 = 2^40
     conv = np.convolve(ha, hb)
     return BigUint.from_int(_combine(conv.tolist(), 12))
 
@@ -97,14 +97,15 @@ def naive_distill(X, seed: SeedMaterial, params: PaParams) -> np.ndarray:
     bits = [int(b) for b in (X if not isinstance(X, (bytes, bytearray))
                              else np.unpackbits(np.frombuffer(X, np.uint8),
                                                 bitorder="little")[:params.N])]
-    assert len(bits) == params.N
+    if len(bits) != params.N:
+        raise LengthMismatch(f"X has {len(bits)} bits, plan expects {params.N}")
     bits += [0] * (params.n * gamma - len(bits))
     blocks = [_bits_to_int(bits[j * gamma:(j + 1) * gamma])
               for j in range(params.n)]
     bad = [j + 1 for j, blk in enumerate(blocks) if blk == p]
     if bad:
         raise AllOnesBlock(bad)
-    A = seed.A.values()
+    A = seed.A.values
 
     def f(i: int) -> int:
         return sum(A[j + i - 2] * blocks[j - 1]
@@ -118,7 +119,8 @@ def naive_distill(X, seed: SeedMaterial, params: PaParams) -> np.ndarray:
         t = (seed.mh.b * y + seed.mh.c) % (1 << gamma)
         z = t // (1 << (gamma - params.l_prime))
         out.extend(_int_to_bits(z, params.l_prime))
-    assert len(out) == params.l
+    if len(out) != params.l:
+        raise LengthMismatch(f"key has {len(out)} bits, plan expects {params.l}")
     return np.array(out, dtype=np.uint8)
 
 

@@ -6,8 +6,9 @@ full output blocks, and a tail of l' = l - m*gamma bits.  The output key
 is the concatenation y_1 || ... || y_m || z, where the y_i are shifted
 MMH passes and z is the modular-arithmetic tail hash of pass m+1.
 
-Passes are independent; the worker count only controls scheduling and
-can never change output bits.
+Blocks and seed words are ``bigint.Words``, read straight from packed
+bytes; a 0/1 array input is packed once.  Passes are independent; the
+worker count only controls scheduling and can never change output bits.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bigint, bitio, dm3h, mmh_mh
-from .dm3h import BlockVector, Dm3hSeed, split_and_pad
+from .dm3h import split_and_pad
 from .errors import (InvalidGamma, InvalidRatio, InvalidWorkers, LengthMismatch,
                      TooManyBlocks)
 from .mersenne import MersenneParams, MersenneResidue
@@ -62,7 +63,7 @@ class PaParams:
 class SeedMaterial:
     """DM3H coefficients plus the MH pair (present iff l' > 0)."""
 
-    A: Dm3hSeed
+    A: bigint.Words
     mh: MhSeed | None = None
 
 
@@ -95,22 +96,21 @@ def required_seed_bits(params: PaParams) -> int:
 def seed_from_bits(bits, params: PaParams) -> SeedMaterial:
     """Consume a seed stream: A words, then b, then c (gamma-bit LE words).
 
-    The all-ones A-word reduces to 0; b is forced odd by setting its
-    least-significant bit (logged when coerced).
+    ``bits`` is packed bytes or a 0/1 array.  The all-ones A-word reduces
+    to 0; b is forced odd by setting its least-significant bit (logged
+    when coerced).
     """
     gamma = params.gamma
-    arr = bitio.as_bit_array(bits)
-    if len(arr) < required_seed_bits(params):
-        raise LengthMismatch(
-            f"seed stream has {len(arr)} bits, need {required_seed_bits(params)}")
-    words = [bitio.int_from_bits(arr[k * gamma:(k + 1) * gamma])
-             for k in range(params.seed_words)]
-    A = Dm3hSeed.from_words(words, params.mersenne)
+    need, have = required_seed_bits(params), bitio.bit_count(bits)
+    if have < need:
+        raise LengthMismatch(f"seed stream has {have} bits, need {need}")
+    words = bitio.read_words(bits, gamma, need // gamma)
+    p = params.mersenne.p
+    A = bigint.Words.from_ints(
+        [0 if w == p else w for w in words[:params.seed_words]], gamma)
     mh = None
     if params.l_prime > 0:
-        off = params.seed_words * gamma
-        b = bitio.int_from_bits(arr[off:off + gamma])
-        c = bitio.int_from_bits(arr[off + gamma:off + 2 * gamma])
+        b, c = words[params.seed_words:]
         if b % 2 == 0:
             logger.info("forcing seed word b odd by setting its low bit")
             b |= 1
@@ -139,11 +139,11 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def distill_blocks(blocks: BlockVector, seed: SeedMaterial, params: PaParams,
+def distill_blocks(blocks: bigint.Words, seed: SeedMaterial, params: PaParams,
                    workers: int | None = None) -> DistillResult:
-    """Run the m (+1) passes on an already-split block vector."""
-    if blocks.n != params.n:
-        raise LengthMismatch(f"{blocks.n} blocks, plan expects {params.n}")
+    """Run the m (+1) passes on already-split blocks."""
+    if len(blocks) != params.n:
+        raise LengthMismatch(f"{len(blocks)} blocks, plan expects {params.n}")
     if params.l_prime > 0 and seed.mh is None:
         raise LengthMismatch("plan has a tail stage but no MH seed was supplied")
     nworkers = _resolve_workers(workers)
@@ -173,7 +173,11 @@ def distill_blocks(blocks: BlockVector, seed: SeedMaterial, params: PaParams,
 def distill(X, seed: SeedMaterial, params: PaParams,
             workers: int | None = None,
             all_ones_policy: str = "error") -> np.ndarray:
-    """K = y_1 || ... || y_m || z as a bit array of exactly l bits."""
-    bits = bitio.as_bit_array(X, nbits=params.N)
-    blocks = split_and_pad(bits, params.mersenne, all_ones_policy=all_ones_policy)
+    """K = y_1 || ... || y_m || z as a bit array of exactly l bits.
+
+    ``X`` is packed bytes or a 0/1 array holding at least N bits; bits
+    past N are ignored.
+    """
+    blocks = split_and_pad(X, params.mersenne, all_ones_policy=all_ones_policy,
+                           nbits=params.N)
     return distill_blocks(blocks, seed, params, workers=workers).key_bits

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from qpa import bigint, bitio, dm3h, ntt, oracle, pipeline
+from qpa import bigint, bitio, ntt, oracle, pipeline
 from qpa.bigint import BigUint
 from qpa.errors import AllOnesBlock
 
@@ -193,9 +193,9 @@ def test_criterion_6_full_scale_linearity():
     x2 = rng.integers(0, 2, size=FULL_N, dtype=np.uint8)
     b1 = pipeline.split_and_pad(x1, params.mersenne)
     b2 = pipeline.split_and_pad(x2, params.mersenne)
-    summed = dm3h.BlockVector.from_values(
-        [(a + b) % p for a, b in zip(b1.values(), b2.values())],
-        params.mersenne)
+    summed = bigint.Words.from_ints(
+        [(a + b) % p for a, b in zip(b1.values, b2.values)],
+        params.gamma)
     r1 = pipeline.distill_blocks(b1, seed, params)
     r2 = pipeline.distill_blocks(b2, seed, params)
     rs = pipeline.distill_blocks(summed, seed, params)

@@ -92,6 +92,27 @@ def test_distill_matches_library(tmp_path):
     assert out.read_bytes() == bitio.bytes_from_bits(expected)
 
 
+def test_distill_reads_the_first_in_bits(tmp_path):
+    # N = 61 is not a multiple of 8; the key file's bits above N are set
+    rng = np.random.default_rng(13)
+    params = pipeline.plan(61, 10, 7)
+    x = rng.integers(0, 2, size=61, dtype=np.uint8)
+    x[::7] = 0   # no block can be all ones
+    seed_bits = rng.integers(0, 2, size=pipeline.required_seed_bits(params),
+                             dtype=np.uint8)
+    key = tmp_path / "key.bin"
+    seed = tmp_path / "seed.bin"
+    out = tmp_path / "out.bin"
+    key.write_bytes(bitio.bytes_from_bits(np.concatenate(
+        [x, np.ones(3, dtype=np.uint8)])) + b"\xff")
+    seed.write_bytes(bitio.bytes_from_bits(seed_bits))
+    assert run(["distill", "--input", key, "--seed", seed, "--output", out,
+                "--in-bits", 61, "--out-bits", 10, "--gamma-exp", 7]) == 0
+    expected = pipeline.distill(
+        x, pipeline.seed_from_bits(seed_bits, params), params)
+    assert out.read_bytes() == bitio.bytes_from_bits(expected)
+
+
 def test_distill_all_ones_exit_code(tmp_path, capsys):
     key = tmp_path / "key.bin"
     seed = tmp_path / "seed.bin"

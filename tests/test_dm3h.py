@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qpa import dm3h, oracle
-from qpa.dm3h import BlockVector, Dm3hSeed
+from qpa import bitio, dm3h, oracle, pipeline
+from qpa.bigint import Words
 from qpa.errors import AllOnesBlock, SeedTooShort
 from qpa.mersenne import MersenneParams
 
@@ -15,18 +15,18 @@ def rand_values(rng, count, p):
 def test_split_zero_padding():
     params = MersenneParams(7)
     bv = dm3h.split_and_pad(np.zeros(14, dtype=np.uint8), params)
-    assert bv.values() == [0, 0]
+    assert bv.values == (0, 0)
     # padding goes at the most-significant end of the last block
     bv = dm3h.split_and_pad(np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8),
                             params)
-    assert bv.values() == [1, 1]
+    assert bv.values == (1, 1)
 
 
 def test_split_hand_example():
     # 10-bit stream of 0x2A3, LSB first
     params = MersenneParams(7)
     bits = np.array([1, 1, 0, 0, 0, 1, 0, 1, 0, 1], dtype=np.uint8)
-    assert dm3h.split_and_pad(bits, params).values() == [35, 5]
+    assert dm3h.split_and_pad(bits, params).values == (35, 5)
 
 
 def test_all_ones_rejected_with_indices():
@@ -46,29 +46,29 @@ def test_all_ones_zero_policy():
     params = MersenneParams(7)
     bv = dm3h.split_and_pad(np.ones(14, dtype=np.uint8), params,
                             all_ones_policy="zero")
-    assert bv.values() == [0, 0]
+    assert bv.values == (0, 0)
 
 
 def test_mmh_pass_hand_examples():
     params = MersenneParams(3)
-    x = BlockVector.from_values([1, 2], params)
-    seed = Dm3hSeed.from_values([3, 4, 5], params)
+    x = Words.from_ints([1, 2], params.gamma)
+    seed = Words.from_ints([3, 4, 5], params.gamma)
     assert dm3h.mmh_pass(x, seed, 1).value == 4   # 3*1 + 4*2 = 11 = 4 mod 7
     assert dm3h.mmh_pass(x, seed, 2).value == 0   # 4*1 + 5*2 = 14 = 0 mod 7
 
 
 def test_zero_input_hashes_to_zero():
     params = MersenneParams(7)
-    x = BlockVector.from_values([0, 0, 0], params)
-    seed = Dm3hSeed.from_values([1, 2, 3, 4, 5], params)
+    x = Words.from_ints([0, 0, 0], params.gamma)
+    seed = Words.from_ints([1, 2, 3, 4, 5], params.gamma)
     for i in range(1, 4):
         assert dm3h.mmh_pass(x, seed, i).value == 0
 
 
 def test_seed_too_short():
     params = MersenneParams(3)
-    x = BlockVector.from_values([1, 2], params)
-    seed = Dm3hSeed.from_values([3, 4, 5], params)
+    x = Words.from_ints([1, 2], params.gamma)
+    seed = Words.from_ints([3, 4, 5], params.gamma)
     with pytest.raises(SeedTooShort):
         dm3h.mmh_pass(x, seed, 3)
     with pytest.raises(ValueError):
@@ -78,9 +78,9 @@ def test_seed_too_short():
 def test_m_one_reduces_to_plain_mmh():
     params = MersenneParams(7)
     rng = np.random.default_rng(0)
-    x = BlockVector.from_values(rand_values(rng, 4, params.p), params)
-    seed = Dm3hSeed.from_values(rand_values(rng, 4, params.p), params)
-    expected = sum(a * b for a, b in zip(seed.values(), x.values())) % params.p
+    x = Words.from_ints(rand_values(rng, 4, params.p), params.gamma)
+    seed = Words.from_ints(rand_values(rng, 4, params.p), params.gamma)
+    expected = sum(a * b for a, b in zip(seed.values, x.values)) % params.p
     assert dm3h.mmh_pass(x, seed, 1).value == expected
 
 
@@ -95,12 +95,12 @@ def test_pass_additivity_and_scaling(gamma):
         ys = rand_values(rng, n, p)
         coeffs = rand_values(rng, n + m - 1, p)
         c = rand_values(rng, 1, p)[0]
-        seed = Dm3hSeed.from_values(coeffs, params)
-        x = BlockVector.from_values(xs, params)
-        y = BlockVector.from_values(ys, params)
-        both = BlockVector.from_values(
-            [(a + b) % p for a, b in zip(xs, ys)], params)
-        scaled = BlockVector.from_values([(c * v) % p for v in xs], params)
+        seed = Words.from_ints(coeffs, params.gamma)
+        x = Words.from_ints(xs, params.gamma)
+        y = Words.from_ints(ys, params.gamma)
+        both = Words.from_ints(
+            [(a + b) % p for a, b in zip(xs, ys)], params.gamma)
+        scaled = Words.from_ints([(c * v) % p for v in xs], params.gamma)
         for i in range(1, m + 1):
             fx = dm3h.mmh_pass(x, seed, i)
             fy = dm3h.mmh_pass(y, seed, i)
@@ -111,17 +111,18 @@ def test_pass_additivity_and_scaling(gamma):
 def test_pass_order_independence():
     params = MersenneParams(7)
     rng = np.random.default_rng(1)
-    x = BlockVector.from_values(rand_values(rng, 4, params.p), params)
-    seed = Dm3hSeed.from_values(rand_values(rng, 7, params.p), params)
+    x = Words.from_ints(rand_values(rng, 4, params.p), params.gamma)
+    seed = Words.from_ints(rand_values(rng, 7, params.p), params.gamma)
     forward = [dm3h.mmh_pass(x, seed, i).value for i in (1, 2, 3, 4)]
     backward = [dm3h.mmh_pass(x, seed, i).value for i in (4, 3, 2, 1)]
     assert forward == backward[::-1]
 
 
 def test_seed_ingestion_maps_all_ones_to_zero():
-    params = MersenneParams(7)
-    seed = Dm3hSeed.from_words([127, 126, 0], params)
-    assert seed.values() == [0, 126, 0]
+    params = pipeline.plan(14, 14, 7)
+    assert params.seed_words == 3
+    stream = bitio.bits_from_int(127 | 126 << 7, 21)
+    assert pipeline.seed_from_bits(stream, params).A.values == (0, 126, 0)
 
 
 def test_universality_bound_small():

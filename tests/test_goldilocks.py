@@ -112,3 +112,10 @@ def test_field_axioms(a, b, c):
 @given(elems, elems)
 def test_sub_inverts_add(a, b):
     assert gl.fe_sub(gl.fe_add(a, b), b) == a
+
+
+@pytest.mark.parametrize("base", [2, gl.root_of_unity(4096), P - 1])
+def test_power_table_matches_pow(base):
+    table = gl.powers(base, 4096)
+    assert table.dtype == np.uint64
+    assert table.tolist() == [pow(base, k, P) for k in range(4096)]

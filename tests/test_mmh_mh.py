@@ -2,23 +2,29 @@ import numpy as np
 import pytest
 
 from qpa import bitio, mmh_mh
-from qpa.dm3h import BlockVector, Dm3hSeed, mmh_pass
+from qpa.bigint import Words
+from qpa.dm3h import mmh_pass
 from qpa.errors import InvalidOutputLen
 from qpa.mersenne import MersenneParams, MersenneResidue
 from qpa.mmh_mh import MhSeed
 
 
+def as_int(bits):
+    """The integer a little-endian bit array encodes."""
+    return bitio.read_words(bits, len(bits), 1)[0]
+
+
 def test_core_definition_example():
     # gamma = 7, l' = 3: (3*100 + 1) mod 128 = 45, floor(45/16) = 2
     y = MersenneResidue(100, MersenneParams(7))
-    assert bitio.int_from_bits(mmh_mh.mh_hash(y, MhSeed(b=3, c=1), 3)) == 2
+    assert as_int(mmh_mh.mh_hash(y, MhSeed(b=3, c=1), 3)) == 2
 
 
 def test_identity_affine_map_keeps_top_bits():
     params = MersenneParams(7)
     y = MersenneResidue(0b1011010, params)
     bits = mmh_mh.mh_hash(y, MhSeed(b=1, c=0), 3)
-    assert bitio.int_from_bits(bits) == 0b101
+    assert as_int(bits) == 0b101
 
 
 def test_zero_maps_to_zero():
@@ -51,7 +57,7 @@ def test_output_always_below_limit():
         seed = MhSeed(b=int(rng.integers(0, 1 << 13)) | 1,
                       c=int(rng.integers(0, 1 << 13)))
         l_prime = int(rng.integers(1, 13))
-        assert bitio.int_from_bits(mmh_mh.mh_hash(y, seed, l_prime)) < (1 << l_prime)
+        assert as_int(mmh_mh.mh_hash(y, seed, l_prime)) < (1 << l_prime)
 
 
 def test_affine_structure_in_c():
@@ -61,7 +67,7 @@ def test_affine_structure_in_c():
 
     def tail(c):
         # l' = 6 keeps all but the lowest bit of t = (b*y + c) mod 128
-        return bitio.int_from_bits(mmh_mh.mh_hash(y, MhSeed(b=b, c=c), 6))
+        return as_int(mmh_mh.mh_hash(y, MhSeed(b=b, c=c), 6))
 
     base = (b * y.value) % 128
     for delta in (0, 1, 13, 100, 127):
@@ -72,10 +78,10 @@ def test_composition_hand_example():
     # gamma = 7, x = (3, 5), A = (1, 1, 1, 2), pass 2: y = a_2*3 + a_3*5 = 8;
     # (5*8 + 9) mod 128 = 49, floor(49/8) = 6
     params = MersenneParams(7)
-    x = BlockVector.from_values([3, 5], params)
-    A = Dm3hSeed.from_values([1, 1, 1, 2], params)
+    x = Words.from_ints([3, 5], params.gamma)
+    A = Words.from_ints([1, 1, 1, 2], params.gamma)
     bits = mmh_mh.mh_hash(mmh_pass(x, A, 2), MhSeed(b=5, c=9), 4)
-    assert bitio.int_from_bits(bits) == 6
+    assert as_int(bits) == 6
 
 
 def test_composition_matches_naive_tail():
@@ -88,9 +94,9 @@ def test_composition_matches_naive_tail():
         b = int(rng.integers(0, 1 << 31)) | 1
         c = int(rng.integers(0, 1 << 31))
         m, l_prime = 2, 11
-        x = BlockVector.from_values(xs, params)
-        A = Dm3hSeed.from_values(coeffs, params)
-        got = bitio.int_from_bits(
+        x = Words.from_ints(xs, params.gamma)
+        A = Words.from_ints(coeffs, params.gamma)
+        got = as_int(
             mmh_mh.mh_hash(mmh_pass(x, A, m + 1), MhSeed(b=b, c=c), l_prime))
         y = sum(coeffs[j + m] * xs[j] for j in range(3)) % p
         expected = ((b * y + c) % (1 << 31)) >> (31 - l_prime)

@@ -3,7 +3,7 @@ import pytest
 
 from qpa import bigint, oracle, pipeline
 from qpa.bigint import BigUint
-from qpa.errors import AllOnesBlock, TooLargeToEnumerate
+from qpa.errors import AllOnesBlock, LengthMismatch, TooLargeToEnumerate
 
 
 def test_schoolbook_trivial():
@@ -55,6 +55,14 @@ def test_naive_distill_rejects_all_ones():
         oracle.naive_distill(np.array([0, 0, 0, 1, 1, 1], dtype=np.uint8),
                              seed, params)
     assert info.value.indices == [2]
+
+
+def test_naive_distill_checks_input_length():
+    params = pipeline.plan(6, 6, 3)
+    seed = pipeline.seed_from_bits(np.zeros(9, dtype=np.uint8), params)
+    for x in (np.zeros(5, dtype=np.uint8), np.zeros(7, dtype=np.uint8)):
+        with pytest.raises(LengthMismatch):
+            oracle.naive_distill(x, seed, params)
 
 
 def test_census_examples_and_limits():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpa import bigint, dm3h, ntt, oracle, pipeline
+from qpa import bigint, bitio, ntt, oracle, pipeline
 from qpa.errors import (AllOnesBlock, InvalidGamma, InvalidRatio,
                         InvalidWorkers, LengthMismatch, TooManyBlocks)
 
@@ -74,6 +74,44 @@ def test_seed_from_bits_length_check():
     params = pipeline.plan(14, 10, 7)
     with pytest.raises(LengthMismatch):
         pipeline.seed_from_bits(np.zeros(10, dtype=np.uint8), params)
+
+
+def test_seed_from_bits_reads_bytes_like_bits():
+    rng = np.random.default_rng(9)
+    for l in (10, 14):   # with and without the b, c pair
+        params = pipeline.plan(140, l, 7)
+        need = pipeline.required_seed_bits(params)
+        bits = rng.integers(0, 2, size=need, dtype=np.uint8)
+        bits[:7] = 1   # a_1 is the all-ones word
+        from_bits = pipeline.seed_from_bits(bits, params)
+        # the bytes carry set bits past the seed and three extra bytes
+        data = bytearray(bitio.bytes_from_bits(bits))
+        data[-1] |= 0xFF << (need % 8) & 0xFF
+        from_bytes = pipeline.seed_from_bits(bytes(data) + b"\xff" * 3, params)
+        assert from_bytes.A.values == from_bits.A.values
+        assert from_bits.A.values[0] == 0
+        assert from_bytes.mh == from_bits.mh
+        short = bitio.bytes_from_bits(bits)[:need // 8 - 1]
+        with pytest.raises(LengthMismatch):
+            pipeline.seed_from_bits(short, params)
+        with pytest.raises(LengthMismatch):
+            pipeline.seed_from_bits(bits[:-1], params)
+
+
+def test_distill_reads_bytes_like_bits():
+    # N = 3 * 127 + 5 is not a multiple of 8; every bit of the last byte
+    # above N is set, and extra bytes follow
+    rng = np.random.default_rng(10)
+    params = pipeline.plan(3 * 127 + 5, 200, 127)
+    x, seed = random_instance(rng, params)
+    data = bytearray(bitio.bytes_from_bits(x))
+    data[-1] |= 0xFF << (params.N % 8) & 0xFF
+    data += b"\xff" * 4
+    expected = oracle.naive_distill(x, seed, params)
+    assert np.array_equal(pipeline.distill(bytes(data), seed, params), expected)
+    assert np.array_equal(pipeline.distill(x, seed, params), expected)
+    with pytest.raises(ValueError):
+        pipeline.distill(x[:-1], seed, params)
 
 
 def test_all_zero_input_gives_all_zero_key():
@@ -170,7 +208,7 @@ def test_distill_blocks_rejects_wrong_block_count():
     params = pipeline.plan(127 * 10, 100, 127)
     rng = np.random.default_rng(7)
     _, seed = random_instance(rng, params)
-    blocks = dm3h.BlockVector.from_values([1, 2, 3], params.mersenne)
+    blocks = bigint.Words.from_ints([1, 2, 3], params.gamma)
     with pytest.raises(LengthMismatch):
         pipeline.distill_blocks(blocks, seed, params)
 
@@ -187,9 +225,9 @@ def test_full_block_additivity_small_scale():
     x2 = rng.integers(0, 2, size=params.N, dtype=np.uint8)
     b1 = pipeline.split_and_pad(x1, params.mersenne)
     b2 = pipeline.split_and_pad(x2, params.mersenne)
-    summed = dm3h.BlockVector.from_values(
-        [(a + b) % p for a, b in zip(b1.values(), b2.values())],
-        params.mersenne)
+    summed = bigint.Words.from_ints(
+        [(a + b) % p for a, b in zip(b1.values, b2.values)],
+        params.gamma)
     r1 = pipeline.distill_blocks(b1, seed, params)
     r2 = pipeline.distill_blocks(b2, seed, params)
     rs = pipeline.distill_blocks(summed, seed, params)
