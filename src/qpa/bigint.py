@@ -72,9 +72,9 @@ def _theta(length: int) -> int:
     root of unity; it equals 2^(-63), and 2^64 has order 3, so
     R^23 * (2^64)^(L^-1 mod 3) raised to L is 2^(-63) * 2^64 = 2.
     """
-    r = gl.fe_pow(gl.GENERATOR, (gl.P64 - 1) // (64 * length))
-    return gl.fe_mul(gl.fe_pow(r, 23),
-                     gl.fe_pow((1 << 64) % gl.P64, pow(length, -1, 3)))
+    r = pow(gl.GENERATOR, (gl.P64 - 1) // (64 * length), gl.P64)
+    return (pow(r, 23, gl.P64) * pow(1 << 64, pow(length, -1, 3), gl.P64)
+            % gl.P64)
 
 
 @dataclass
@@ -111,7 +111,7 @@ def _layout(gamma: int) -> _Layout:
             shift=(e[:-1] & 7).astype(np.uint32),
             mask=((1 << np.diff(e)) - 1).astype(np.uint32),
             weight=gl.powers(theta, length)[exponent],
-            unweight=gl.powers(gl.fe_inv(theta), length)[exponent],
+            unweight=gl.powers(pow(theta, -1, gl.P64), length)[exponent],
             word=e[:-1] >> 6,
             bit=(e[:-1] & 63).astype(_U64),
             classes=min(length, -(-64 // low)) if low else length)

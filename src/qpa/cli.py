@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import bitio, bigint, mersenne, ntt, oracle, pipeline
+from . import bitio, bigint, goldilocks, mersenne, ntt, oracle, pipeline
 from .errors import AllOnesBlock, LengthMismatch, QpaError
 
 EXIT_OK = 0
@@ -96,10 +96,12 @@ def _selftest_suites():
     rng = np.random.default_rng(2024)
 
     def field_oracle():
-        for _ in range(1000):
-            a, b = (int(v) for v in rng.integers(0, 1 << 63, size=2))
-            from .goldilocks import P64, fe_mul
-            _check(fe_mul(a, b) == (a * b) % P64, f"fe_mul({a}, {b})")
+        p = goldilocks.P64
+        a, b = (rng.integers(0, p, size=1000, dtype=np.uint64) for _ in range(2))
+        expected = [x * y % p for x, y in zip(a.tolist(), b.tolist())]
+        _check(np.array_equal(goldilocks.v_mul(a, b),
+                              np.array(expected, dtype=np.uint64)),
+               "v_mul differs from Python ints")
 
     def ntt_roundtrip():
         for length in (16, 256):
@@ -110,12 +112,17 @@ def _selftest_suites():
         _check(np.array_equal(ntt.ntt_forward(v), oracle.naive_ntt(v)),
                "forward transform vs naive")
 
-    def bigint_mul():
-        for bits in (100, 1000, 5000):
-            a = bigint.BigUint.from_int(int(rng.integers(1, 1 << 62)) << (bits - 62))
-            b = bigint.BigUint.from_int(int(rng.integers(1, 1 << 62)))
-            _check(bigint.mul_ntt(a, b, force_ntt=True) == oracle.mul_schoolbook(a, b),
-                   f"{bits}-bit product")
+    def ring_product():
+        # the weighted-transform product every distill pass runs
+        for gamma in (521, 4253, 19937):
+            p = (1 << gamma) - 1
+            x, y = (int.from_bytes(rng.bytes(gamma // 8 + 1), "little") % p
+                    for _ in range(2))
+            for a, b in ((x, y), (p - 1, p - 1)):
+                got = mersenne.fold(bigint.dot(bigint.Words.from_ints([a], gamma),
+                                               bigint.Words.from_ints([b], gamma)), gamma)
+                _check(got == oracle.mul_schoolbook(a, b) % p,
+                       f"product mod 2^{gamma} - 1")
 
     def distill_equivalence():
         params = pipeline.plan(140, 20, 7)
@@ -181,7 +188,7 @@ def _selftest_suites():
     return [
         ("field multiply vs wide-integer oracle", field_oracle),
         ("ntt round trip and naive cross-check", ntt_roundtrip),
-        ("ntt multiply vs schoolbook", bigint_mul),
+        ("ring product vs schoolbook (gamma=521/4253/19937)", ring_product),
         ("distill vs naive oracle (gamma=7)", distill_equivalence),
         ("universality census (gamma=3, n=2, m=2)", census),
         ("twiddle fault injection (negative control)", negative_control),

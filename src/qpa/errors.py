@@ -5,12 +5,8 @@ class QpaError(Exception):
     """Base class for all qpa errors."""
 
 
-class ZeroInverse(QpaError):
-    """Multiplicative inverse of zero requested."""
-
-
 class UnsupportedOrder(QpaError):
-    """root_of_unity called with an order that does not divide 2^32."""
+    """root_of_unity called with an order that does not divide 65536."""
 
 
 class UnsupportedLength(QpaError):

@@ -5,18 +5,17 @@ Its multiplicative group has order 2^32 * (2^32 - 1), so roots of unity
 exist for every power-of-two order up to 2^32, and 2^96 = -1 (mod p),
 which makes small powers of two cheap to multiply by.
 
-Scalar operations work on plain Python ints in canonical form
-(0 <= value < p).  The ``v_*`` functions are the vectorized kernels used
-by the transform engine; they operate elementwise on ``numpy.uint64``
-arrays, exploiting 2^64 = 2^32 - 1 (mod p) to reduce wide products
-without 128-bit arithmetic.
+The ``v_*`` functions are the vectorized kernels used by the transform
+engine; they operate elementwise on canonical ``numpy.uint64`` arrays
+(0 <= value < p), exploiting 2^64 = 2^32 - 1 (mod p) to reduce wide
+products without 128-bit arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnsupportedOrder, ZeroInverse
+from .errors import UnsupportedOrder
 
 P64 = (1 << 64) - (1 << 32) + 1
 GENERATOR = 7
@@ -28,55 +27,6 @@ W16 = 4096
 _U64 = np.uint64
 _P = _U64(P64)
 _M32 = _U64(0xFFFFFFFF)
-
-
-# ---------------------------------------------------------------------------
-# scalar operations
-# ---------------------------------------------------------------------------
-
-def fe_add(a: int, b: int) -> int:
-    s = a + b
-    return s - P64 if s >= P64 else s
-
-
-def fe_sub(a: int, b: int) -> int:
-    d = a - b
-    return d + P64 if d < 0 else d
-
-
-def _reduce_wide(x: int) -> int:
-    """Reduce a product < 2^128 using 2^64 = 2^32 - 1 and 2^96 = -1."""
-    n0 = x & 0xFFFFFFFFFFFFFFFF
-    n1 = (x >> 64) & 0xFFFFFFFF
-    n2 = x >> 96
-    r = n0 + (n1 << 32) - n1 - n2
-    if r < 0:
-        r += P64
-    while r >= P64:
-        r -= P64
-    return r
-
-
-def fe_mul(a: int, b: int) -> int:
-    return _reduce_wide(a * b)
-
-
-def fe_pow(a: int, e: int) -> int:
-    """Square-and-multiply exponentiation built on fe_mul."""
-    result = 1
-    base = a
-    while e:
-        if e & 1:
-            result = fe_mul(result, base)
-        base = fe_mul(base, base)
-        e >>= 1
-    return result
-
-
-def fe_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroInverse("0 has no multiplicative inverse")
-    return fe_pow(a, P64 - 2)
 
 
 def _canonical_omega_65536() -> int:
@@ -98,16 +48,14 @@ OMEGA_65536 = _canonical_omega_65536()
 
 
 def root_of_unity(order: int) -> int:
-    """Primitive order-th root of unity; order must divide 2^32.
+    """Primitive order-th root of unity; order must divide 65536.
 
-    Orders up to 65536 are powers of OMEGA_65536 so that every radix-16
-    stage sees w16 = 4096.
+    Every root is a power of OMEGA_65536, so every radix-16 stage sees
+    w16 = 4096.
     """
-    if order <= 0 or (1 << 32) % order != 0:
-        raise UnsupportedOrder(f"order {order} does not divide 2^32")
-    if order <= 65536:
-        return pow(OMEGA_65536, 65536 // order, P64)
-    return pow(GENERATOR, (P64 - 1) // order, P64)
+    if order <= 0 or 65536 % order != 0:
+        raise UnsupportedOrder(f"order {order} does not divide 65536")
+    return pow(OMEGA_65536, 65536 // order, P64)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +123,7 @@ def powers(base: int, count: int) -> np.ndarray:
     out = np.ones(count, dtype=_U64)
     step = 1
     while step < count:
-        out[step:2 * step] = v_mul(out[:step], _U64(fe_pow(base, step)))
+        out[step:2 * step] = v_mul(out[:step], _U64(pow(base, step, P64)))
         step *= 2
     return out
 

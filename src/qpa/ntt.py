@@ -41,7 +41,7 @@ def _twiddle_table(length: int, inverse: bool) -> np.ndarray:
     table = _twiddle_cache.get(key)
     if table is None:
         w = gl.root_of_unity(length)
-        powers = gl.powers(gl.fe_inv(w) if inverse else w, length)
+        powers = gl.powers(pow(w, -1, gl.P64) if inverse else w, length)
         n = np.arange(length // 16)
         table = powers[np.outer(_REV16, n) % length]
         _twiddle_cache[key] = table
@@ -108,7 +108,7 @@ def _run(v: np.ndarray, inverse: bool) -> np.ndarray:
     if length not in SUPPORTED_LENGTHS:
         raise UnsupportedLength(f"length {length} not in {SUPPORTED_LENGTHS}")
     rows_per_chunk = max(1, _CHUNK_ELEMS // length)
-    scale = _U64(gl.fe_inv(length)) if inverse else None
+    scale = _U64(pow(length, -1, gl.P64)) if inverse else None
     out = np.empty_like(arr)
     for start in range(0, arr.shape[0], rows_per_chunk):
         stop = start + rows_per_chunk

@@ -14,7 +14,6 @@ import itertools
 
 import numpy as np
 
-from .bigint import BigUint
 from .errors import AllOnesBlock, LengthMismatch, TooLargeToEnumerate
 from .goldilocks import P64, root_of_unity
 from .pipeline import PaParams, SeedMaterial
@@ -31,23 +30,18 @@ def _combine(coeffs, shift_bits):
     return lo + (hi << (shift_bits * half))
 
 
-def mul_schoolbook(a: BigUint, b: BigUint) -> BigUint:
-    """Exact product by direct O(n^2) convolution of 12-bit half-limbs."""
-    av, bv = a.to_int(), b.to_int()
-    if av == 0 or bv == 0:
-        return BigUint.from_int(0, 0)
+def mul_schoolbook(a: int, b: int) -> int:
+    """Exact product by direct O(n^2) convolution of 12-bit digits."""
 
-    def halves(x: BigUint):
-        out = []
-        for limb in x.limbs.tolist():
-            out.append(limb & 0xFFF)
-            out.append(limb >> 12)
-        return np.array(out, dtype=np.int64)
+    def digits(x: int):
+        # three hex characters per digit, least significant first
+        h = format(x, "x")
+        return np.array([int(h[max(0, i - 3):i], 16)
+                         for i in range(len(h), 0, -3)], dtype=np.int64)
 
-    ha, hb = halves(a), halves(b)
-    # coefficients < min(len) * (2^12)^2 <= 65536 * 2^24 = 2^40
-    conv = np.convolve(ha, hb)
-    return BigUint.from_int(_combine(conv.tolist(), 12))
+    # coefficients < min(len) * (2^12)^2, exact in int64 below 2^39 digits
+    conv = np.convolve(digits(a), digits(b))
+    return _combine(conv.tolist(), 12)
 
 
 def naive_ntt(v) -> np.ndarray:

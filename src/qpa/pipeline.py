@@ -122,8 +122,6 @@ def seed_from_bits(bits, params: PaParams) -> SeedMaterial:
 class DistillResult:
     key_bits: np.ndarray
     y_blocks: list[MersenneResidue]   # passes 1..m
-    y_tail: MersenneResidue | None    # pass m+1, None when l' = 0
-    z_bits: np.ndarray | None
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -156,18 +154,13 @@ def distill_blocks(blocks: bigint.Words, seed: SeedMaterial, params: PaParams,
         outputs = [dm3h.mmh_pass(blocks, seed.A, i) for i in indices]
 
     y_blocks = outputs[:params.m]
-    y_tail = None
-    z_bits = None
     pieces = [bitio.bits_from_int(y.value, params.gamma) for y in y_blocks]
     if params.l_prime > 0:
-        y_tail = outputs[-1]
-        z_bits = mmh_mh.mh_hash(y_tail, seed.mh, params.l_prime)
-        pieces.append(z_bits)
+        pieces.append(mmh_mh.mh_hash(outputs[-1], seed.mh, params.l_prime))
     key = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
     if len(key) != params.l:
         raise LengthMismatch(f"key has {len(key)} bits, plan expects {params.l}")
-    return DistillResult(key_bits=key, y_blocks=y_blocks, y_tail=y_tail,
-                         z_bits=z_bits)
+    return DistillResult(key_bits=key, y_blocks=y_blocks)
 
 
 def distill(X, seed: SeedMaterial, params: PaParams,

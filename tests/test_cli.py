@@ -232,7 +232,7 @@ def test_selftest_detects_fault_under_optimize():
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys\n"
             "from qpa import cli, goldilocks\n"
-            "goldilocks.fe_mul = lambda a, b: 0\n"
+            "goldilocks.v_mul = lambda a, b: 0\n"
             "sys.exit(cli.main(['selftest']))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=600)
