@@ -133,8 +133,9 @@ def _weighted_digits(values, lay: _Layout) -> np.ndarray:
     # digit * weight = lo + hi * 2^32 with lo, hi < 2^44, and 2^64 = 2^32 - 1
     lo = digits * (lay.weight & _M32)
     hi = digits * (lay.weight >> _U64(32))
-    lo += (hi >> _U64(32)) * _M32
+    lo += (hi >> _U64(32)) * _M32  # now below 2^45
     hi <<= _U64(32)  # at most p - 1
+    # both operands are canonical, as v_add requires
     return gl.v_add(hi, lo)
 
 
@@ -184,7 +185,8 @@ def _sum_products(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     lh += hh & _M32
     s2 = np.add.reduce(lh, axis=0)
     s3 = np.add.reduce(hh >> _U64(32), axis=0)
-    # 2^64 = 2^32 - 1 and 2^96 = -1; every s_i < 2^50, below p
+    # 2^64 = 2^32 - 1 and 2^96 = -1.  Every s_i < 2^50, so s1 + s2, s0 and
+    # s2 + s3 are below 2^51 and canonical operands for the field kernels
     return gl.v_sub(gl.v_add(gl.v_shl(s1 + s2, 32), s0), s2 + s3)
 
 

@@ -6,9 +6,19 @@ exist for every power-of-two order up to 2^32, and 2^96 = -1 (mod p),
 which makes small powers of two cheap to multiply by.
 
 The ``v_*`` functions are the vectorized kernels used by the transform
-engine; they operate elementwise on canonical ``numpy.uint64`` arrays
-(0 <= value < p), exploiting 2^64 = 2^32 - 1 (mod p) to reduce wide
-products without 128-bit arithmetic.
+engine.  They take canonical ``numpy.uint64`` arrays (0 <= value < p)
+and return canonical arrays, reducing wide values with 2^64 = 2^32 - 1
+and 2^96 = -1 (mod p) instead of 128-bit arithmetic.  Each kernel is a
+fixed, short sequence of numpy ufunc calls: where a comparison shows
+that a sum wrapped past 2^64 or a difference borrowed, 2^32 - 1 is
+added or taken off.  The comment beside each step gives the bound that
+keeps it exact.
+
+``v_mul_halves`` is the one multiplier.  It takes its second factor
+as 32-bit halves (``halves``), so a caller that multiplies by the same
+table many times splits it once; ``v_mul`` splits its operand per call.
+Every temporary has the size of the operands, so callers that pass a
+few thousand values at a time keep the kernels in cache.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ W16 = 4096
 _U64 = np.uint64
 _P = _U64(P64)
 _M32 = _U64(0xFFFFFFFF)
+_S32 = _U64(32)
 
 
 def _canonical_omega_65536() -> int:
@@ -63,59 +74,76 @@ def root_of_unity(order: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _canon(x):
-    # x < p wraps x - p above 2^64 - 2^32, so the minimum picks correctly
+    # any x < 2^64 is below 2p: x >= p leaves x - p < x, and x < p wraps
+    # x - p to x + 2^32 - 1 > x, so the minimum is x mod p
     return np.minimum(x, x - _P)
 
 
+def _eps_if(mask):
+    """2^32 - 1 where mask holds, else 0: a wrap of 2^64 mod p."""
+    return np.multiply(mask, _M32, dtype=_U64)
+
+
 def v_add(a, b):
-    s = a + b  # wraps mod 2^64
-    wrapped = (s < b).astype(_U64)
-    # a + b - 2^64 is congruent to s + (2^32 - 1)
-    return _canon(s + wrapped * _M32)
+    """a + b mod p."""
+    nb = _P - b  # in [1, p]
+    r = a - nb   # a + b - p, at most p - 2 when a >= nb
+    # a < nb means a + b < p, and r wrapped to a + b - p + 2^64 = a + b + (2^32 - 1)
+    r -= _eps_if(a < nb)
+    return r
 
 
 def v_sub(a, b):
+    """a - b mod p."""
     d = a - b
-    borrow = (a < b).astype(_U64)
-    return d - borrow * _M32
+    # a borrow leaves a - b + 2^64; a - b + p is 2^32 - 1 less, and positive
+    d -= _eps_if(a < b)
+    return d
 
 
-def v_neg(x):
-    return _canon(_P - x)
+def halves(b):
+    """(b mod 2^32, b div 2^32): the form v_mul_halves takes its multiplier in."""
+    return b & _M32, b >> _S32
 
 
-def v_mul(a, b):
-    """Elementwise product mod p of canonical uint64 arrays (broadcasts)."""
+def v_mul_halves(a, b0, b1):
+    """a * b mod p for canonical a and b, b given as halves b0 + b1 * 2^32."""
     a0 = a & _M32
-    a1 = a >> _U64(32)
-    b0 = b & _M32
-    b1 = b >> _U64(32)
+    a1 = a >> _S32
+    # each partial product is at most (2^32 - 1)^2 = 2^64 - 2^33 + 1
     ll = a0 * b0
     lh = a0 * b1
     hl = a1 * b0
     hh = a1 * b1
-    # assemble the exact 128-bit product as (hi, lo) 64-bit halves
-    mid = lh + hl
-    mid_carry = (mid < lh).astype(_U64)
-    lo = ll + (mid << _U64(32))
-    lo_carry = (lo < ll).astype(_U64)
-    hi = hh + (mid >> _U64(32)) + (mid_carry << _U64(32)) + lo_carry
-    # lo + hi*2^64 = lo + h0*(2^32 - 1) - h1 (mod p); h0*(2^32-1) < p
-    h0 = hi & _M32
-    h1 = hi >> _U64(32)
-    r = v_add(_canon(lo), h0 * _M32)
-    return v_sub(r, h1)
+    # a * b = lo + hi * 2^64, assembled 32 bits at a time so nothing wraps:
+    # lh + (ll >> 32) and hl + (lh & (2^32 - 1)) are at most 2^64 - 2^32,
+    # and every partial sum of hi is at most hi itself, as a * b < 2^128
+    lh += ll >> _S32
+    hl += lh & _M32
+    ll &= _M32
+    ll |= hl << _S32
+    hh += lh >> _S32
+    hh += hl >> _S32
+    # 2^64 = 2^32 - 1 and 2^96 = -1, so a * b = lo + h0 * (2^32 - 1) - h1.
+    # a * b <= (p - 1)^2 puts hi <= 2^64 - 2^33 + 1, so h1 <= 2^32 - 2.
+    h1 = hh >> _S32
+    hh &= _M32
+    hh *= _M32  # h0 * (2^32 - 1) <= (2^32 - 1)^2 < p
+    # h1 < 2^32 - 1 exceeds h0 * (2^32 - 1) only if h0 = 0; a borrow then
+    # leaves p - h1 once 2^32 - 1 more is taken off
+    borrow = hh < h1
+    hh -= h1
+    hh -= _eps_if(borrow)
+    # hh is now canonical; add lo < 2^64 and fold a wrap back in as 2^32 - 1.
+    # A wrapped sum is below hh < p, so adding 2^32 - 1 cannot wrap again.
+    ll += hh
+    ll += _eps_if(ll < hh)
+    return _canon(ll)
 
 
-def _shl_small(x, s: int):
-    """x * 2^s mod p for 0 < s < 64, x canonical."""
-    n0 = x << _U64(s)
-    hi = x >> _U64(64 - s)
-    n1 = hi & _M32
-    n2 = hi >> _U64(32)
-    # n1 * (2^32 - 1) <= (2^32 - 1)^2 < p, already canonical
-    r = v_add(_canon(n0), n1 * _M32)
-    return v_sub(r, n2)
+def v_mul(a, b):
+    """Elementwise product mod p of canonical uint64 arrays (broadcasts)."""
+    return v_mul_halves(a, *halves(b))
 
 
 def powers(base: int, count: int) -> np.ndarray:
@@ -128,13 +156,33 @@ def powers(base: int, count: int) -> np.ndarray:
     return out
 
 
+def _shl32(x, s: int):
+    """x * 2^s mod p for 0 < s <= 32, x canonical."""
+    # x * 2^s = lo + hi * 2^64 with hi < 2^s <= 2^32, and 2^64 = 2^32 - 1,
+    # so x * 2^s = lo + t for t = hi * (2^32 - 1) <= (2^32 - 1)^2 < p
+    t = x >> _U64(64 - s)
+    t *= _M32
+    r = x << _U64(s)
+    r += t
+    # a wrapped sum is below t, so adding 2^32 - 1 for the lost 2^64 cannot wrap
+    r += _eps_if(r < t)
+    return _canon(r)
+
+
 def v_shl(x, s: int):
-    """x * 2^s mod p; 2 has multiplicative order 192."""
+    """x * 2^s mod p for canonical x; 2 has multiplicative order 192."""
     s %= 192
     if s == 0:
         return x
-    if s >= 96:
-        return v_neg(v_shl(x, s - 96))
+    if s >= 96:  # 2^96 = -1
+        return v_sub(_U64(0), v_shl(x, s - 96))
     if s >= 64:
-        return _shl_small(_shl_small(x, 48), s - 48)
-    return _shl_small(x, s)
+        # x = v * 2^(96-s) + w with w < 2^(96-s): x * 2^s = v * 2^96 + w * 2^s,
+        # which is t - v for t = (w * 2^(s-64)) * (2^32 - 1), as w * 2^(s-64)
+        # < 2^32 and 2^64 = 2^32 - 1; t < p, and v < 2^(s-32) <= 2^63 < p
+        t = (x << _U64(s - 64)) & _M32
+        t *= _M32
+        return v_sub(t, x >> _U64(96 - s))
+    if s > 32:
+        return _shl32(_shl32(x, s - 32), 32)
+    return _shl32(x, s)

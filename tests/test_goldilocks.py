@@ -12,6 +12,15 @@ P = gl.P64
 
 elems = st.integers(0, P - 1)
 
+# the carry, borrow and wrap edges of the field kernels
+EDGES = [0, 1, (1 << 32) - 1, 1 << 32, 1 << 63, P - 2, P - 1]
+
+
+def edge_pairs():
+    """Every ordered pair of edge values, as two uint64 arrays."""
+    edges = np.array(EDGES, dtype=np.uint64)
+    return tuple(e.ravel() for e in np.meshgrid(edges, edges))
+
 
 def scalar(kernel, *args):
     """Run a vector kernel on one-element arrays and return a Python int."""
@@ -41,8 +50,7 @@ def test_mul_examples():
 def test_mul_against_wide_integer_oracle():
     rng = np.random.default_rng(7)
     # every pair of edge values after the random pairs
-    edges = np.array([0, 1, 1 << 32, 1 << 63, P - 1], dtype=np.uint64)
-    ea, eb = (e.ravel() for e in np.meshgrid(edges, edges))
+    ea, eb = edge_pairs()
     a = np.concatenate([rng.integers(0, P, size=100_000, dtype=np.uint64), ea])
     b = np.concatenate([rng.integers(0, P, size=100_000, dtype=np.uint64), eb])
     got = gl.v_mul(a, b).tolist()
@@ -58,13 +66,27 @@ def test_vector_mul_matches_scalar():
         assert z == (x * y) % P
 
 
-@pytest.mark.parametrize("shift", range(0, 192, 12))
+@pytest.mark.parametrize("kernel, exact", [
+    (gl.v_add, lambda x, y: (x + y) % P),
+    (gl.v_sub, lambda x, y: (x - y) % P),
+])
+def test_add_sub_edge_pairs(kernel, exact):
+    a, b = edge_pairs()
+    got = kernel(a, b)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [exact(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+
+# every shift, so each of the s <= 32, 33..63, 64..95 and >= 96 branches
+# is checked at its ends
+@pytest.mark.parametrize("shift", range(192))
 def test_vector_shift_is_multiplication_by_power_of_two(shift):
     rng = np.random.default_rng(shift)
-    a = rng.integers(0, P, size=500, dtype=np.uint64)
+    a = np.concatenate([np.array(EDGES, dtype=np.uint64),
+                        rng.integers(0, P, size=500, dtype=np.uint64)])
     got = gl.v_shl(a, shift)
-    for x, z in zip(a.tolist(), got.tolist()):
-        assert z == (x << shift) % P
+    assert got.dtype == np.uint64
+    assert got.tolist() == [x * pow(2, shift, P) % P for x in a.tolist()]
 
 
 def test_pow_examples():

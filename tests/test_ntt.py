@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,45 @@ def test_corrupted_twiddles_detected():
     finally:
         ntt._testing_clear_cache()
     assert np.array_equal(ntt.ntt_forward(v), clean)
+
+
+@pytest.mark.parametrize("shape", [(16, 4096), (1, 65536)])
+def test_peak_memory_stays_near_the_input(shape):
+    # numpy reports its buffers to tracemalloc; the transform keeps two
+    # chunk buffers, the output and temporaries of a few thousand values
+    v = rand_vec(np.random.default_rng(12), shape[1], batch=shape[0])
+    ntt.ntt_forward(v)  # build the twiddle tables outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ntt.ntt_forward(v)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * v.nbytes
+
+
+def coefficient(row, root, k):
+    """sum_n row[n] * root^(n*k) mod p, on Python ints."""
+    step, power, total = pow(root, k, P), 1, 0
+    for x in row:
+        total += x * power
+        power = power * step % P
+    return total % P
+
+
+@pytest.mark.parametrize("length", [4096, 65536])
+def test_large_lengths_match_the_definition(length):
+    # a few coefficients of each direction on a random row and a row of
+    # edge values; the naive oracle is too slow at these lengths
+    rng = np.random.default_rng(length + 4)
+    edges = np.array([0, 1, (1 << 32) - 1, 1 << 32, 1 << 63, P - 2, P - 1],
+                     dtype=np.uint64)
+    batch = np.stack([rand_vec(rng, length), rng.choice(edges, size=length)])
+    w = gl.root_of_unity(length)
+    w_inv, scale = pow(w, -1, P), pow(length, -1, P)
+    forward, inverse = ntt.ntt_forward(batch), ntt.ntt_inverse(batch)
+    for row, fwd, inv in zip(batch.tolist(), forward.tolist(), inverse.tolist()):
+        for k in (0, 1, length // 2 + 3, length - 1):
+            assert fwd[k] == coefficient(row, w, k)
+            assert inv[k] == coefficient(row, w_inv, k) * scale % P
