@@ -17,10 +17,12 @@ bits.  A pass sums n such products; while n times that bound stays
 below the field modulus, the whole sum is exact in the spectrum and
 costs one inverse transform.
 
-``Words`` holds rows of values below 2^gamma with their forward spectra,
-computed once.  ``dot`` sums shifted row products in the spectrum, runs
-one inverse transform and returns an int congruent to the sum modulo
-2^gamma - 1.
+``Words`` holds rows of values below 2^gamma.  A row's forward spectrum
+is computed once, on first use, into an anonymous shared mapping, so a
+forked process can fill a range of rows for its parent without a copy.
+``dot`` fills any rows it needs, sums shifted row products in the
+spectrum, runs one inverse transform and returns an int congruent to
+the sum modulo 2^gamma - 1.
 
 ``mul_ntt`` is the exact integer product: 24-bit limbs, zero-padded to
 a supported length, carried back into an int by ``int_from_wide_limbs``.
@@ -30,6 +32,7 @@ coefficient is < 32768 * (2^24 - 1)^2 < 2^63.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,11 +123,8 @@ def _layout(gamma: int) -> _Layout:
 
 
 def _weighted_digits(values, lay: _Layout) -> np.ndarray:
-    """Rows of weighted digits, read as 3-byte windows of packed bytes."""
+    """Rows of weighted digits, read as 4-byte windows of packed bytes."""
     nbytes = lay.gamma // 8 + 4
-    for v in values:
-        if v.bit_length() > lay.gamma:
-            raise ValueError(f"value of {v.bit_length()} bits exceeds gamma = {lay.gamma}")
     raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
     # every row as overlapping little-endian 4-byte reads at each byte offset
     windows = np.ndarray((len(values), nbytes - 3), dtype="<u4", buffer=raw,
@@ -141,24 +141,43 @@ def _weighted_digits(values, lay: _Layout) -> np.ndarray:
 
 @dataclass(eq=False)
 class Words:
-    """Rows of values below 2^gamma and their weighted forward spectra."""
+    """Rows of values below 2^gamma and their weighted forward spectra.
+
+    ``spectra`` row j is valid once ``ready[j]`` is set.  Both arrays
+    live in one anonymous shared mapping, so rows that a forked child
+    fills are filled in its parent too.
+    """
 
     values: tuple
     gamma: int
     spectra: np.ndarray
+    ready: np.ndarray
 
     @classmethod
     def from_ints(cls, values, gamma: int) -> "Words":
         """One row per value; every value must fit in ``gamma`` bits."""
         values = tuple(values)
-        lay = _layout(gamma)
-        spectra = np.empty((len(values), lay.length), dtype=_U64)
+        for v in values:
+            if v.bit_length() > gamma:
+                raise ValueError(f"value of {v.bit_length()} bits exceeds gamma = {gamma}")
+        rows, length = len(values), _layout(gamma).length
+        buf = mmap.mmap(-1, max(1, rows * (8 * length + 1)))
+        spectra = np.frombuffer(buf, dtype=_U64, count=rows * length)
+        ready = np.frombuffer(buf, dtype=np.uint8, count=rows,
+                              offset=8 * rows * length)
+        return cls(values, gamma, spectra.reshape(rows, length), ready)
+
+    def fill(self, start: int = 0, stop: int | None = None) -> None:
+        """Compute the spectra of rows start..stop-1 that are not ready."""
+        lay = _layout(self.gamma)
+        missing = start + np.flatnonzero(self.ready[start:stop] == 0)
         rows = max(1, _CHUNK_ELEMS // lay.length)
-        for start in range(0, len(values), rows):
-            chunk = values[start:start + rows]
-            spectra[start:start + len(chunk)] = ntt.ntt_forward(
-                _weighted_digits(chunk, lay))
-        return cls(values, gamma, spectra)
+        for k in range(0, len(missing), rows):
+            idx = missing[k:k + rows]
+            # through the module attribute, so row counters see every row
+            self.spectra[idx] = ntt.ntt_forward(
+                _weighted_digits([self.values[j] for j in idx], lay))
+            self.ready[idx] = 1
 
     def __len__(self) -> int:
         return len(self.values)
@@ -233,6 +252,8 @@ def dot(x: Words, a: Words, offset: int = 0) -> int:
     if n > limit:
         raise TooManyBlocks(f"{n} row products exceed the {limit} a pass "
                             f"sums exactly at gamma {x.gamma}")
+    x.fill()
+    a.fill(offset, offset + n)
     lay = _layout(x.gamma)
     spectrum = _mac(x.spectra, a.spectra[offset:offset + n])
     # ntt_inverse already scales by 1/L

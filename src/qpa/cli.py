@@ -8,7 +8,9 @@ File formats (all little-endian, LSB-first within bytes):
              forced odd by setting its least-significant bit
 
 Exit codes: 0 success, 2 parameter error, 3 all-ones rejection,
-4 I/O error, 5 selftest failure.
+4 I/O error, 5 selftest failure, 6 a worker process failed (it raised,
+was killed or exited without a result; its traceback, if any, is on
+stderr).
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import time
 import numpy as np
 
 from . import bitio, bigint, goldilocks, mersenne, ntt, oracle, pipeline
-from .errors import AllOnesBlock, LengthMismatch, QpaError
+from .errors import AllOnesBlock, LengthMismatch, QpaError, WorkerFailed
 
 EXIT_OK = 0
 EXIT_PARAM = 2
 EXIT_ALL_ONES = 3
 EXIT_IO = 4
 EXIT_SELFTEST = 5
+EXIT_WORKER = 6
 
 
 def cmd_plan(args) -> int:
@@ -140,6 +143,17 @@ def _selftest_suites():
                 break
             _check(np.array_equal(fast, slow), "distilled key differs")
 
+    def workers_equivalence():
+        # two workers fork a child for each fan-out on a machine with 2+ CPUs
+        params = pipeline.plan(127 * 12, 127 * 2 + 50, 127)
+        x = rng.integers(0, 2, size=params.N, dtype=np.uint8)
+        x[::127] = 0   # no block is all ones
+        seed_bits = rng.integers(
+            0, 2, size=pipeline.required_seed_bits(params), dtype=np.uint8)
+        one, two = (pipeline.distill(x, pipeline.seed_from_bits(seed_bits, params),
+                                     params, workers=w) for w in (1, 2))
+        _check(np.array_equal(one, two), "keys at 1 and 2 workers differ")
+
     def census():
         best = 0
         for _ in range(20):
@@ -190,6 +204,7 @@ def _selftest_suites():
         ("ntt round trip and naive cross-check", ntt_roundtrip),
         ("ring product vs schoolbook (gamma=521/4253/19937)", ring_product),
         ("distill vs naive oracle (gamma=7)", distill_equivalence),
+        ("distill at 2 workers equals 1 worker (gamma=127)", workers_equivalence),
         ("universality census (gamma=3, n=2, m=2)", census),
         ("twiddle fault injection (negative control)", negative_control),
         ("digit weight fault injection (negative control)", weight_negative_control),
@@ -240,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-ones-policy", choices=("error", "zero"),
                    default="error")
     p.add_argument("--workers", type=int, default=None,
-                   help="pass threads (default: QPA_WORKERS, else 1)")
+                   help="worker processes (default: QPA_WORKERS, else 1)")
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("gen-seed", help="write OS-random seed material")
@@ -262,6 +277,9 @@ def main(argv=None) -> int:
         print(f"error: all-ones blocks at {exc.indices}; rerun with "
               f"--all-ones-policy zero to substitute (unsafe)", file=sys.stderr)
         return EXIT_ALL_ONES
+    except WorkerFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except QpaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM

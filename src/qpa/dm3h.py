@@ -7,7 +7,7 @@ little-endian gamma-bit blocks, and each shifted pass i computes
 
 Blocks x_1..x_n and seed coefficients a_1, a_2, ... are both
 ``bigint.Words``, read from packed bytes by ``bitio.read_words``; each
-keeps its words' weighted forward spectra.  ``bigint.dot`` sums a pass
+computes its words' weighted forward spectra once, on first use.  ``bigint.dot`` sums a pass
 in the spectrum and returns an int congruent to it modulo p, and this
 module folds that int to the canonical residue.
 Raw input blocks equal to the all-ones pattern do not embed injectively

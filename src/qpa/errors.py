@@ -52,6 +52,10 @@ class InvalidWorkers(QpaError):
     """Worker count is not a positive integer."""
 
 
+class WorkerFailed(QpaError):
+    """A worker process raised, exited non-zero or sent back no result."""
+
+
 class TooLargeToEnumerate(QpaError):
     """Seed space too large for exhaustive enumeration."""
 

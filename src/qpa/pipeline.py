@@ -7,15 +7,25 @@ is the concatenation y_1 || ... || y_m || z, where the y_i are shifted
 MMH passes and z is the modular-arithmetic tail hash of pass m+1.
 
 Blocks and seed words are ``bigint.Words``, read straight from packed
-bytes; a 0/1 array input is packed once.  Passes are independent; the
-worker count only controls scheduling and can never change output bits.
+bytes; a 0/1 array input is packed once.  Their forward spectra are
+computed on first use.
+
+With more than one worker, ``distill_blocks`` fans out twice through
+``_fan_out``, the one place that starts processes: first over row ranges
+of the blocks and seed words together, whose spectra land in the
+parent's shared mappings, then over the passes, dealt out round-robin.
+Every row and pass runs through the same kernels whichever process runs
+it, so the worker count can never change output bits.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +33,7 @@ import numpy as np
 from . import bigint, bitio, dm3h, mmh_mh
 from .dm3h import split_and_pad
 from .errors import (InvalidGamma, InvalidRatio, InvalidWorkers, LengthMismatch,
-                     TooManyBlocks)
+                     SeedTooShort, TooManyBlocks, WorkerFailed)
 from .mersenne import MersenneParams, MersenneResidue
 from .mmh_mh import MhSeed
 
@@ -137,21 +147,107 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
+def _fan_out(job, tasks: int, workers: int) -> list:
+    """[job(0, s), ..., job(s - 1, s)] for s = min(workers, tasks, CPUs) shares.
+
+    Share 0 runs in the caller; shares 1.. run in ``os.fork``ed children,
+    which see the caller's memory as it was at the fork and send their
+    results back pickled over a pipe.  With one share nothing is forked.
+    Every child is reaped before this returns or raises; a child that
+    raises, exits non-zero or sends no result raises WorkerFailed.
+    """
+    shares = min(workers, tasks, len(os.sched_getaffinity(0)))
+    if shares <= 1:
+        return [job(0, 1)]
+    children: dict[int, int] = {}   # pid -> read end of its pipe
+    try:
+        for k in range(1, shares):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise WorkerFailed(f"could not start a worker process: {exc}") from exc
+            if pid == 0:
+                _run_child(job, k, shares, write_fd, [read_fd, *children.values()])
+            os.close(write_fd)
+            children[pid] = read_fd
+        results = [job(0, shares)]
+        for pid, read_fd in list(children.items()):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            os.close(read_fd)
+            if status != 0:
+                raise WorkerFailed(f"worker process {pid} exited with status {status}")
+            try:
+                results.append(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):
+                raise WorkerFailed(f"worker process {pid} sent back no result") from None
+        return results
+    finally:
+        for pid, read_fd in children.items():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_child(job, k: int, shares: int, write_fd: int, inherited: list[int]) -> None:
+    """Run share k in a forked child, send its result and exit.
+
+    ``inherited`` are read ends this child must not hold open, so a
+    write fails instead of blocking once its reader is gone.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        data = pickle.dumps(job(k, shares), protocol=pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    except BaseException:  # the parent sees the status; the traceback goes to stderr
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
 def distill_blocks(blocks: bigint.Words, seed: SeedMaterial, params: PaParams,
                    workers: int | None = None) -> DistillResult:
-    """Run the m (+1) passes on already-split blocks."""
-    if len(blocks) != params.n:
-        raise LengthMismatch(f"{len(blocks)} blocks, plan expects {params.n}")
+    """Run the m (+1) passes on already-split blocks.
+
+    The forward spectra and the passes are spread over up to ``workers``
+    processes (default: QPA_WORKERS, else 1).
+    """
+    n = len(blocks)
+    if n != params.n:
+        raise LengthMismatch(f"{n} blocks, plan expects {params.n}")
+    if len(seed.A) < params.seed_words:
+        raise SeedTooShort(f"{params.pass_count} passes over {n} blocks need "
+                           f"{params.seed_words} coefficients, seed has {len(seed.A)}")
     if params.l_prime > 0 and seed.mh is None:
         raise LengthMismatch("plan has a tail stage but no MH seed was supplied")
     nworkers = _resolve_workers(workers)
-    indices = list(range(1, params.pass_count + 1))
-    if nworkers > 1 and len(indices) > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            outputs = list(pool.map(
-                lambda i: dm3h.mmh_pass(blocks, seed.A, i), indices))
-    else:
-        outputs = [dm3h.mmh_pass(blocks, seed.A, i) for i in indices]
+    rows = n + params.seed_words
+
+    def fill(k: int, shares: int) -> None:
+        lo, hi = k * rows // shares, (k + 1) * rows // shares
+        blocks.fill(min(lo, n), min(hi, n))
+        seed.A.fill(max(lo, n) - n, max(hi, n) - n)
+
+    indices = range(1, params.pass_count + 1)
+
+    def passes(k: int, shares: int) -> dict:
+        return {i: dm3h.mmh_pass(blocks, seed.A, i) for i in indices[k::shares]}
+
+    _fan_out(fill, rows, nworkers)
+    by_index = {}
+    for part in _fan_out(passes, len(indices), nworkers):
+        by_index.update(part)
+    outputs = [by_index[i] for i in indices]
 
     y_blocks = outputs[:params.m]
     pieces = [bitio.bits_from_int(y.value, params.gamma) for y in y_blocks]

@@ -5,9 +5,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qpa
-from qpa import bitio, cli, pipeline
+from qpa import bitio, cli, dm3h, pipeline
 
 
 def run(argv):
@@ -179,16 +180,38 @@ def zero_distill_args(tmp_path, out_bits=14):
 
 def test_workers_env_default(tmp_path, monkeypatch):
     seen = []
-    real = pipeline.ThreadPoolExecutor
+    real = pipeline._fan_out
 
-    def recording(max_workers):
-        seen.append(max_workers)
-        return real(max_workers=max_workers)
+    def recording(job, tasks, workers):
+        def noting(k, shares):
+            if k == 0:   # share 0 runs in this process
+                seen.append(shares)
+            return job(k, shares)
+        return real(noting, tasks, workers)
 
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(pipeline, "_fan_out", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setenv("QPA_WORKERS", "3")
     assert run(zero_distill_args(tmp_path)) == 0
-    assert seen == [3]
+    # 8 blocks and 9 seed words over 3 shares, then 2 passes over 2
+    assert seen == [3, 2]
+
+
+def test_worker_failure_exit_code(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+    real_pass = dm3h.mmh_pass
+
+    def mmh_pass(*args):
+        if os.getpid() != parent:
+            os._exit(9)
+        return real_pass(*args)
+
+    monkeypatch.setattr(dm3h, "mmh_pass", mmh_pass)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert run(zero_distill_args(tmp_path) + ["--workers", 2]) == cli.EXIT_WORKER
+    assert "exited with status 9" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_bad_worker_counts_are_param_errors(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,14 @@
+import errno
+import os
+import signal
+
 import numpy as np
 import pytest
 
-from qpa import bigint, bitio, ntt, oracle, pipeline
+from qpa import bigint, bitio, dm3h, ntt, oracle, pipeline
 from qpa.errors import (AllOnesBlock, InvalidGamma, InvalidRatio,
-                        InvalidWorkers, LengthMismatch, TooManyBlocks)
+                        InvalidWorkers, LengthMismatch, SeedTooShort,
+                        TooManyBlocks, WorkerFailed)
 
 
 def random_instance(rng, params, all_ones_policy="retry"):
@@ -147,12 +152,141 @@ def test_output_length_always_l():
         assert len(pipeline.distill(x, seed, params)) == l
 
 
-def test_worker_count_does_not_change_output():
+def fake_cpus(monkeypatch, count):
+    """Let the fan-out use up to ``count`` shares on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def deadline():
+    """Fail, instead of hanging, a test that runs past 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 60 s deadline")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count_does_not_change_output(monkeypatch, tmp_path, deadline):
+    # more shares than the 2 CPUs a small machine has: uneven row ranges
+    # and round-robin passes over up to 3 processes
+    fake_cpus(monkeypatch, 4)
+    # every process appends one byte per transformed row to this file, so
+    # the split is seen to transform each row once and nothing twice
+    log = os.open(tmp_path / "rows", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    for attr, tag in (("ntt_forward", b"f"), ("ntt_inverse", b"i")):
+        def logged(v, real=getattr(ntt, attr), tag=tag):
+            os.write(log, tag * (v.shape[0] if v.ndim > 1 else 1))
+            return real(v)
+        monkeypatch.setattr(ntt, attr, logged)
     rng = np.random.default_rng(5)
-    params = pipeline.plan(127 * 30, 127 * 3 + 50, 127)
-    x, seed = random_instance(rng, params)
-    outs = [pipeline.distill(x, seed, params, workers=w) for w in (1, 2, 4)]
-    assert all(np.array_equal(outs[0], o) for o in outs[1:])
+    try:
+        for l in (127 * 3 + 50, 127 * 3, 50):   # mixed, l' = 0, m = 0
+            params = pipeline.plan(127 * 30, l, 127)
+            x, _ = random_instance(rng, params)
+            seed_bits = rng.integers(0, 2, size=pipeline.required_seed_bits(params),
+                                     dtype=np.uint8)
+            outs = []
+            for w in (1, 2, 3):
+                os.ftruncate(log, 0)
+                # fresh seed words, so every run transforms its own rows
+                seed = pipeline.seed_from_bits(seed_bits, params)
+                outs.append(pipeline.distill(x, seed, params, workers=w))
+                rows = (tmp_path / "rows").read_bytes()
+                assert (rows.count(b"f"), rows.count(b"i")) == (
+                    params.n + params.seed_words, params.pass_count), (params, w)
+            assert all(np.array_equal(outs[0], o) for o in outs[1:]), params
+    finally:
+        os.close(log)
+    assert_no_child_left()
+
+
+def test_share_count_is_capped_by_the_rows(monkeypatch):
+    # 64 workers and 64 CPUs on a plan of 2 blocks and 2 seed words: fewer
+    # children than rows, and the counter stops a runaway fan-out before
+    # it starts them
+    params = pipeline.plan(127 * 2, 100, 127)
+    assert (params.n, params.m, params.seed_words) == (2, 0, 2)
+    rows = params.n + params.seed_words
+    x, seed = random_instance(np.random.default_rng(14), params)
+    expected = pipeline.distill(x, seed, params, workers=1)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        assert len(forks) < rows, "forked as many children as rows"
+        return real_fork()
+
+    fake_cpus(monkeypatch, 64)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert np.array_equal(pipeline.distill(x, seed, params, workers=64), expected)
+    assert 0 < len(forks) < rows
+    assert_no_child_left()
+    # one usable CPU: nothing is forked
+    forks.clear()
+    fake_cpus(monkeypatch, 1)
+    assert np.array_equal(pipeline.distill(x, seed, params, workers=64), expected)
+    assert forks == []
+
+
+@pytest.mark.parametrize("fail", ["exit", "raise"])
+def test_worker_failure_is_raised_and_reaped(fail, monkeypatch, capfd, deadline):
+    # two children fail: the first one collected raises WorkerFailed, and
+    # the other is reaped on the way out
+    fake_cpus(monkeypatch, 3)
+    parent = os.getpid()
+    real_pass = dm3h.mmh_pass
+
+    def mmh_pass(*args):
+        if os.getpid() != parent:
+            if fail == "exit":
+                os._exit(9)
+            raise ZeroDivisionError("pass failed in a child")
+        return real_pass(*args)
+
+    monkeypatch.setattr(dm3h, "mmh_pass", mmh_pass)
+    params = pipeline.plan(127 * 12, 127 * 3 + 50, 127)
+    x, seed = random_instance(np.random.default_rng(15), params)
+    with pytest.raises(WorkerFailed, match="exited with status 9" if fail == "exit"
+                       else "exited with status 1"):
+        pipeline.distill(x, seed, params, workers=3)
+    assert_no_child_left()
+    if fail == "raise":
+        assert "ZeroDivisionError: pass failed in a child" in capfd.readouterr().err
+
+
+def test_fork_failure_is_a_worker_failure(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    fake_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    params = pipeline.plan(127 * 12, 127 * 3 + 50, 127)
+    x, seed = random_instance(np.random.default_rng(17), params)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(WorkerFailed, match="could not start a worker process"):
+        pipeline.distill(x, seed, params, workers=2)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_short_seed_is_rejected_before_any_fan_out(monkeypatch):
+    fake_cpus(monkeypatch, 2)
+    params = pipeline.plan(127 * 10, 127 * 2 + 5, 127)
+    x, seed = random_instance(np.random.default_rng(16), params)
+    blocks = pipeline.split_and_pad(x, params.mersenne)
+    short = pipeline.SeedMaterial(
+        A=bigint.Words.from_ints(seed.A.values[:-1], params.gamma), mh=seed.mh)
+    for workers in (1, 2):
+        with pytest.raises(SeedTooShort):
+            pipeline.distill_blocks(blocks, short, params, workers=workers)
 
 
 def test_workers_env_default(monkeypatch):
