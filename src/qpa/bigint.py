@@ -20,6 +20,9 @@ costs one inverse transform.
 ``Words`` holds rows of values below 2^gamma.  A row's forward spectrum
 is computed once, on first use, into an anonymous shared mapping, so a
 forked process can fill a range of rows for its parent without a copy.
+Rows are filled ``ntt.batch_rows`` at a time: their weighted digits are
+written straight into the spectrum rows, which are then transformed in
+place, so a fill allocates no batch-sized arrays of its own.
 ``dot`` fills any rows it needs, sums shifted row products in the
 spectrum, runs one inverse transform and returns an int congruent to
 the sum modulo 2^gamma - 1.
@@ -49,8 +52,8 @@ _M32 = _U64(0xFFFFFFFF)
 _DIGIT_BITS = 12
 MAX_GAMMA = _DIGIT_BITS * ntt.SUPPORTED_LENGTHS[-1]  # 786432
 
-# values per chunk for digit extraction and the spectral MAC
-_CHUNK_ELEMS = 1 << 16
+# values per block of the spectral MAC
+_MAC_BLOCK = 1 << 16
 
 
 def transform_shape(gamma: int) -> tuple[int, int]:
@@ -86,10 +89,8 @@ class _Layout:
 
     gamma: int
     length: int
-    window: np.ndarray    # byte holding digit j's low bit
-    shift: np.ndarray     # digit j's bit offset in that byte
     mask: np.ndarray      # (1 << width_j) - 1
-    weight: np.ndarray    # theta^(L*e_j - j*gamma)
+    weight: tuple         # theta^(L*e_j - j*gamma), as 32-bit halves
     unweight: np.ndarray  # its inverse
     word: np.ndarray      # e_j // 64
     bit: np.ndarray       # e_j % 64
@@ -110,10 +111,8 @@ def _layout(gamma: int) -> _Layout:
         low = gamma // length
         lay = _Layout(
             gamma=gamma, length=length,
-            window=e[:-1] >> 3,
-            shift=(e[:-1] & 7).astype(np.uint32),
-            mask=((1 << np.diff(e)) - 1).astype(np.uint32),
-            weight=gl.powers(theta, length)[exponent],
+            mask=((1 << np.diff(e)) - 1).astype(_U64),
+            weight=gl.halves(gl.powers(theta, length)[exponent]),
             unweight=gl.powers(pow(theta, -1, gl.P64), length)[exponent],
             word=e[:-1] >> 6,
             bit=(e[:-1] & 63).astype(_U64),
@@ -122,21 +121,45 @@ def _layout(gamma: int) -> _Layout:
     return lay
 
 
-def _weighted_digits(values, lay: _Layout) -> np.ndarray:
-    """Rows of weighted digits, read as 4-byte windows of packed bytes."""
-    nbytes = lay.gamma // 8 + 4
-    raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
-    # every row as overlapping little-endian 4-byte reads at each byte offset
-    windows = np.ndarray((len(values), nbytes - 3), dtype="<u4", buffer=raw,
-                         strides=(nbytes, 1))
-    digits = ((windows[:, lay.window] >> lay.shift) & lay.mask).astype(_U64)
-    # digit * weight = lo + hi * 2^32 with lo, hi < 2^44, and 2^64 = 2^32 - 1
-    lo = digits * (lay.weight & _M32)
-    hi = digits * (lay.weight >> _U64(32))
-    lo += (hi >> _U64(32)) * _M32  # now below 2^45
-    hi <<= _U64(32)  # at most p - 1
-    # both operands are canonical, as v_add requires
-    return gl.v_add(hi, lo)
+def _weighted_digits(values, lay: _Layout, out: np.ndarray) -> None:
+    """Write the weighted digits of each value to its row of ``out``.
+
+    Digit j is read from the two 64-bit words that hold bits e_j ..
+    e_j + 63, a sixteenth of the columns at a time: for a full
+    transform batch, one piece of the transform, so the temporaries
+    stay in cache.
+    """
+    nwords = lay.gamma // 64 + 2  # word e_j // 64 + 1 exists for every j
+    raw = b"".join(v.to_bytes(8 * nwords, "little") for v in values)
+    words = np.frombuffer(raw, dtype="<u8").reshape(len(values), nwords)
+    cols = max(1, lay.length // 16)
+    digits = np.empty((len(values), cols), dtype=_U64)
+    hi = np.empty_like(digits)
+    tmp = gl.scratch(digits.shape)
+    t = tmp[0]
+    next_word = np.empty(cols, dtype=np.int64)
+    rest = np.empty(cols, dtype=_U64)
+    w0, w1 = lay.weight
+    for c in range(0, lay.length, cols):
+        part = slice(c, c + cols)
+        np.take(words, lay.word[part], axis=1, out=digits)
+        np.take(words, np.add(lay.word[part], 1, out=next_word), axis=1, out=hi)
+        # the digit's bits: word >> bit, then the next word above 64 - bit
+        # (shifted in two steps, as a shift by 64 is undefined)
+        digits >>= lay.bit[part]
+        hi <<= _U64(1)
+        hi <<= np.subtract(_U64(63), lay.bit[part], out=rest)
+        digits |= hi
+        digits &= lay.mask[part]
+        # digit * weight = lo + hi * 2^32 with lo, hi < 2^44, and 2^64 = 2^32 - 1
+        lo = np.multiply(digits, w0[part], out=out[:, part])
+        np.multiply(digits, w1[part], out=hi)
+        np.right_shift(hi, _U64(32), out=t)
+        t *= _M32
+        lo += t  # now below 2^45
+        hi <<= _U64(32)  # at most p - 1
+        # both operands are canonical, as v_add requires
+        gl.v_add(hi, lo, lo, tmp)
 
 
 @dataclass(eq=False)
@@ -168,57 +191,91 @@ class Words:
         return cls(values, gamma, spectra.reshape(rows, length), ready)
 
     def fill(self, start: int = 0, stop: int | None = None) -> None:
-        """Compute the spectra of rows start..stop-1 that are not ready."""
+        """Compute the spectra of rows start..stop-1 that are not ready.
+
+        Runs of consecutive missing rows are filled a transform batch at
+        a time: the weighted digits go straight to the spectrum rows,
+        which are then transformed in place.
+        """
         lay = _layout(self.gamma)
+        batch = ntt.batch_rows(lay.length)
         missing = start + np.flatnonzero(self.ready[start:stop] == 0)
-        rows = max(1, _CHUNK_ELEMS // lay.length)
-        for k in range(0, len(missing), rows):
-            idx = missing[k:k + rows]
-            # through the module attribute, so row counters see every row
-            self.spectra[idx] = ntt.ntt_forward(
-                _weighted_digits([self.values[j] for j in idx], lay))
-            self.ready[idx] = 1
+        for run in np.split(missing, np.flatnonzero(np.diff(missing) != 1) + 1):
+            for k in range(0, len(run), batch):
+                rows = slice(run[k], run[k] + len(run[k:k + batch]))
+                spectra = self.spectra[rows]
+                _weighted_digits(self.values[rows], lay, spectra)
+                # through the module attribute, so row counters see every row
+                ntt.ntt_forward(spectra, out=spectra)
+                self.ready[rows] = 1
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-def _sum_products(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _sum_products(x: np.ndarray, a: np.ndarray, tmp: tuple,
+                  sums: np.ndarray, kernel_tmp: tuple) -> np.ndarray:
     """sum over rows of x * a mod p, for fewer than 2^16 rows.
 
     Each 128-bit product is four 64-bit partial products; their 32-bit
     halves add up exactly in uint64 at bit offsets 0, 32, 64 and 96,
-    and each column is reduced once.
+    and each column is reduced once.  ``tmp`` is five arrays shaped
+    like x, ``sums`` four rows and ``kernel_tmp`` the field kernels'
+    temporaries, all as wide as x; every one is overwritten, and the
+    result is a row of ``sums``.
     """
-    x0, x1 = x & _M32, x >> _U64(32)
-    a0, a1 = a & _M32, a >> _U64(32)
-    ll, lh, hl, hh = x0 * a0, x0 * a1, x1 * a0, x1 * a1
-    s0 = np.add.reduce(ll & _M32, axis=0)
+    ll, hh, hl, t, lh = tmp
+    np.bitwise_and(x, _M32, out=ll)
+    np.right_shift(x, _U64(32), out=hh)
+    np.bitwise_and(a, _M32, out=hl)
+    np.right_shift(a, _U64(32), out=t)
+    np.multiply(ll, t, out=lh)
+    ll *= hl
+    hl *= hh
+    hh *= t
+    s0, s1, s2, s3 = sums
+    np.add.reduce(np.bitwise_and(ll, _M32, out=t), axis=0, out=s0)
     ll >>= _U64(32)
-    ll += lh & _M32
-    ll += hl & _M32
-    s1 = np.add.reduce(ll, axis=0)
+    ll += np.bitwise_and(lh, _M32, out=t)
+    ll += np.bitwise_and(hl, _M32, out=t)
+    np.add.reduce(ll, axis=0, out=s1)
     lh >>= _U64(32)
     hl >>= _U64(32)
     lh += hl
-    lh += hh & _M32
-    s2 = np.add.reduce(lh, axis=0)
-    s3 = np.add.reduce(hh >> _U64(32), axis=0)
+    lh += np.bitwise_and(hh, _M32, out=t)
+    np.add.reduce(lh, axis=0, out=s2)
+    hh >>= _U64(32)
+    np.add.reduce(hh, axis=0, out=s3)
     # 2^64 = 2^32 - 1 and 2^96 = -1.  Every s_i < 2^50, so s1 + s2, s0 and
     # s2 + s3 are below 2^51 and canonical operands for the field kernels
-    return gl.v_sub(gl.v_add(gl.v_shl(s1 + s2, 32), s0), s2 + s3)
+    s1 += s2
+    s2 += s3
+    gl.v_shl(s1, 32, s1, kernel_tmp)
+    gl.v_add(s1, s0, s1, kernel_tmp)
+    return gl.v_sub(s1, s2, s1, kernel_tmp)
 
 
 def _mac(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_k x[k] * a[k] mod p per column, in cache-sized blocks."""
+    """sum_k x[k] * a[k] mod p per column, in cache-sized blocks.
+
+    The temporaries of every block come from one allocation per call.
+    """
     n, length = x.shape
-    cols = min(length, max(256, _CHUNK_ELEMS // max(n, 1)))
-    rows = _CHUNK_ELEMS // cols
+    cols = min(length, max(256, _MAC_BLOCK // max(n, 1)))
+    rows = _MAC_BLOCK // cols
     out = np.zeros(length, dtype=_U64)
+    block_tmp = np.empty((5, min(rows, n) * cols), dtype=_U64)
+    sums = np.empty((4, cols), dtype=_U64)
+    kernel_tmp = gl.scratch((cols,))
     for c in range(0, length, cols):
+        acc = out[c:c + cols]
+        width = len(acc)
+        narrow = tuple(t[:width] for t in kernel_tmp)
         for r in range(0, n, rows):
-            out[c:c + cols] = gl.v_add(out[c:c + cols], _sum_products(
-                x[r:r + rows, c:c + cols], a[r:r + rows, c:c + cols]))
+            xb, ab = x[r:r + rows, c:c + cols], a[r:r + rows, c:c + cols]
+            tmp = tuple(t[:xb.size].reshape(xb.shape) for t in block_tmp)
+            gl.v_add(acc, _sum_products(xb, ab, tmp, sums[:, :width], narrow),
+                     acc, narrow)
     return out
 
 
@@ -357,7 +414,7 @@ def mul_ntt(a: BigUint, b: BigUint, force_ntt: bool = False) -> BigUint:
 def _testing_corrupt_weight(gamma: int) -> None:
     """Flip the cached weight of a widest digit (negative control for selftest)."""
     lay = _layout(gamma)
-    lay.weight[np.argmax(lay.mask)] ^= _U64(1)
+    lay.weight[0][np.argmax(lay.mask)] ^= _U64(1)
 
 
 def _testing_clear_cache() -> None:

@@ -107,10 +107,11 @@ def _selftest_suites():
                "v_mul differs from Python ints")
 
     def ntt_roundtrip():
-        for length in (16, 256):
-            v = rng.integers(0, 1 << 24, size=length).astype(np.uint64)
+        # a 5 x 65536 batch spans two transform chunks, the second ragged
+        for shape in ((16,), (256,), (5, 65536)):
+            v = rng.integers(0, 1 << 24, size=shape).astype(np.uint64)
             _check(np.array_equal(ntt.ntt_inverse(ntt.ntt_forward(v)), v),
-                   f"round trip at length {length}")
+                   f"round trip of shape {shape}")
         v = rng.integers(0, 1 << 24, size=16).astype(np.uint64)
         _check(np.array_equal(ntt.ntt_forward(v), oracle.naive_ntt(v)),
                "forward transform vs naive")

@@ -17,8 +17,11 @@ keeps it exact.
 ``v_mul_halves`` is the one multiplier.  It takes its second factor
 as 32-bit halves (``halves``), so a caller that multiplies by the same
 table many times splits it once; ``v_mul`` splits its operand per call.
-Every temporary has the size of the operands, so callers that pass a
-few thousand values at a time keep the kernels in cache.
+``v_add``, ``v_sub``, ``v_shl`` and ``v_mul_halves`` take an optional
+``out`` array and caller-owned temporaries (``scratch``).  A caller that
+passes both allocates nothing per call: the allocator hands arrays of
+128 KB and more back to the system when they are freed, so fresh
+temporaries of that size are faulted in again on every call.
 """
 
 from __future__ import annotations
@@ -73,31 +76,57 @@ def root_of_unity(order: int) -> int:
 # vectorized kernels (canonical uint64 in, canonical uint64 out)
 # ---------------------------------------------------------------------------
 
-def _canon(x):
+def scratch(shape) -> tuple:
+    """Temporaries for kernel calls on arrays of ``shape``: five uint64
+    arrays and a bool mask, as many as ``v_mul_halves`` needs.
+
+    A caller that passes them as ``tmp`` (and an ``out``) makes a kernel
+    call allocate nothing; they are overwritten and must not share
+    memory with the operands or ``out``.
+    """
+    return (*np.empty((5, *shape), dtype=_U64), np.empty(shape, dtype=bool))
+
+
+def _scratch_for(tmp, *operands) -> tuple:
+    if tmp is None:
+        tmp = scratch(np.broadcast_shapes(*map(np.shape, operands)))
+    return tmp
+
+
+def _eps_if(mask, t):
+    """2^32 - 1 where mask holds, else 0, in t: a wrap of 2^64 mod p."""
+    return np.multiply(mask, _M32, out=t, dtype=_U64)
+
+
+def _canon(x, out, t):
     # any x < 2^64 is below 2p: x >= p leaves x - p < x, and x < p wraps
     # x - p to x + 2^32 - 1 > x, so the minimum is x mod p
-    return np.minimum(x, x - _P)
+    return np.minimum(x, np.subtract(x, _P, out=t), out=out)
 
 
-def _eps_if(mask):
-    """2^32 - 1 where mask holds, else 0: a wrap of 2^64 mod p."""
-    return np.multiply(mask, _M32, dtype=_U64)
+# Every kernel below writes its result to ``out`` (a new array if None)
+# and uses ``tmp`` (from ``scratch``, made per call if None) for its
+# temporaries.  ``out`` may be any of the operands: each kernel reads
+# them before its first write to ``out``.
 
-
-def v_add(a, b):
+def v_add(a, b, out=None, tmp=None):
     """a + b mod p."""
-    nb = _P - b  # in [1, p]
-    r = a - nb   # a + b - p, at most p - 2 when a >= nb
-    # a < nb means a + b < p, and r wrapped to a + b - p + 2^64 = a + b + (2^32 - 1)
-    r -= _eps_if(a < nb)
+    t, *_, mask = _scratch_for(tmp, a, b)
+    np.subtract(_P, b, out=t)  # p - b, in [1, p]
+    np.less(a, t, out=mask)
+    r = np.subtract(a, t, out=out)  # a + b - p, at most p - 2 when a >= p - b
+    # a < p - b means a + b < p, and r wrapped to a + b - p + 2^64 = a + b + (2^32 - 1)
+    r -= _eps_if(mask, t)
     return r
 
 
-def v_sub(a, b):
+def v_sub(a, b, out=None, tmp=None):
     """a - b mod p."""
-    d = a - b
+    t, *_, mask = _scratch_for(tmp, a, b)
+    np.less(a, b, out=mask)
+    d = np.subtract(a, b, out=out)
     # a borrow leaves a - b + 2^64; a - b + p is 2^32 - 1 less, and positive
-    d -= _eps_if(a < b)
+    d -= _eps_if(mask, t)
     return d
 
 
@@ -106,39 +135,41 @@ def halves(b):
     return b & _M32, b >> _S32
 
 
-def v_mul_halves(a, b0, b1):
+def v_mul_halves(a, b0, b1, out=None, tmp=None):
     """a * b mod p for canonical a and b, b given as halves b0 + b1 * 2^32."""
-    a0 = a & _M32
-    a1 = a >> _S32
+    ll, hh, lh, hl, t, mask = _scratch_for(tmp, a, b0, b1)
+    np.bitwise_and(a, _M32, out=ll)
+    np.right_shift(a, _S32, out=hh)
     # each partial product is at most (2^32 - 1)^2 = 2^64 - 2^33 + 1
-    ll = a0 * b0
-    lh = a0 * b1
-    hl = a1 * b0
-    hh = a1 * b1
+    np.multiply(ll, b1, out=lh)
+    ll *= b0
+    np.multiply(hh, b0, out=hl)
+    hh *= b1
     # a * b = lo + hi * 2^64, assembled 32 bits at a time so nothing wraps:
     # lh + (ll >> 32) and hl + (lh & (2^32 - 1)) are at most 2^64 - 2^32,
     # and every partial sum of hi is at most hi itself, as a * b < 2^128
-    lh += ll >> _S32
-    hl += lh & _M32
+    lh += np.right_shift(ll, _S32, out=t)
+    hl += np.bitwise_and(lh, _M32, out=t)
     ll &= _M32
-    ll |= hl << _S32
-    hh += lh >> _S32
-    hh += hl >> _S32
+    ll |= np.left_shift(hl, _S32, out=t)
+    hh += np.right_shift(lh, _S32, out=t)
+    hh += np.right_shift(hl, _S32, out=t)
     # 2^64 = 2^32 - 1 and 2^96 = -1, so a * b = lo + h0 * (2^32 - 1) - h1.
     # a * b <= (p - 1)^2 puts hi <= 2^64 - 2^33 + 1, so h1 <= 2^32 - 2.
-    h1 = hh >> _S32
+    h1 = np.right_shift(hh, _S32, out=lh)
     hh &= _M32
     hh *= _M32  # h0 * (2^32 - 1) <= (2^32 - 1)^2 < p
     # h1 < 2^32 - 1 exceeds h0 * (2^32 - 1) only if h0 = 0; a borrow then
     # leaves p - h1 once 2^32 - 1 more is taken off
-    borrow = hh < h1
+    np.less(hh, h1, out=mask)
     hh -= h1
-    hh -= _eps_if(borrow)
+    hh -= _eps_if(mask, t)
     # hh is now canonical; add lo < 2^64 and fold a wrap back in as 2^32 - 1.
     # A wrapped sum is below hh < p, so adding 2^32 - 1 cannot wrap again.
     ll += hh
-    ll += _eps_if(ll < hh)
-    return _canon(ll)
+    np.less(ll, hh, out=mask)
+    ll += _eps_if(mask, t)
+    return _canon(ll, out, t)
 
 
 def v_mul(a, b):
@@ -156,33 +187,44 @@ def powers(base: int, count: int) -> np.ndarray:
     return out
 
 
-def _shl32(x, s: int):
+def _shl32(x, s: int, out, tmp):
     """x * 2^s mod p for 0 < s <= 32, x canonical."""
+    t, *_, mask = tmp
     # x * 2^s = lo + hi * 2^64 with hi < 2^s <= 2^32, and 2^64 = 2^32 - 1,
     # so x * 2^s = lo + t for t = hi * (2^32 - 1) <= (2^32 - 1)^2 < p
-    t = x >> _U64(64 - s)
+    np.right_shift(x, _U64(64 - s), out=t)
     t *= _M32
-    r = x << _U64(s)
+    r = np.left_shift(x, _U64(s), out=out)
     r += t
     # a wrapped sum is below t, so adding 2^32 - 1 for the lost 2^64 cannot wrap
-    r += _eps_if(r < t)
-    return _canon(r)
+    np.less(r, t, out=mask)
+    r += _eps_if(mask, t)
+    return _canon(r, r, t)
 
 
-def v_shl(x, s: int):
+def v_shl(x, s: int, out=None, tmp=None):
     """x * 2^s mod p for canonical x; 2 has multiplicative order 192."""
     s %= 192
     if s == 0:
-        return x
+        if out is None:
+            return x
+        out[...] = x
+        return out
+    tmp = _scratch_for(tmp, x)
     if s >= 96:  # 2^96 = -1
-        return v_sub(_U64(0), v_shl(x, s - 96))
+        r = v_shl(x, s - 96, out, tmp)
+        # r is x itself for s = 96 with no out, and x is never overwritten
+        return v_sub(_U64(0), r, out if r is x else r, tmp)
     if s >= 64:
         # x = v * 2^(96-s) + w with w < 2^(96-s): x * 2^s = v * 2^96 + w * 2^s,
         # which is t - v for t = (w * 2^(s-64)) * (2^32 - 1), as w * 2^(s-64)
         # < 2^32 and 2^64 = 2^32 - 1; t < p, and v < 2^(s-32) <= 2^63 < p
-        t = (x << _U64(s - 64)) & _M32
+        t = np.left_shift(x, _U64(s - 64), out=tmp[1])
+        t &= _M32
         t *= _M32
-        return v_sub(t, x >> _U64(96 - s))
+        v = np.right_shift(x, _U64(96 - s), out=out)
+        return v_sub(t, v, v, tmp)
     if s > 32:
-        return _shl32(_shl32(x, s - 32), 32)
-    return _shl32(x, s)
+        r = _shl32(x, s - 32, out, tmp)
+        return _shl32(r, 32, r, tmp)
+    return _shl32(x, s, out, tmp)

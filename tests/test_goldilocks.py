@@ -75,6 +75,24 @@ def test_add_sub_edge_pairs(kernel, exact):
     got = kernel(a, b)
     assert got.dtype == np.uint64
     assert got.tolist() == [exact(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert_same_into_each_operand(kernel, (a, b), got)
+
+
+def assert_same_into_each_operand(kernel, operands, expected):
+    """The kernel writes ``expected`` into an out that is any one operand."""
+    for k in range(len(operands)):
+        copies = [x.copy() for x in operands]
+        tmp = gl.scratch(expected.shape)
+        assert kernel(*copies, out=copies[k], tmp=tmp) is copies[k]
+        assert np.array_equal(copies[k], expected)
+
+
+def test_mul_halves_edge_pairs():
+    a, b = edge_pairs()
+    operands = (a, *gl.halves(b))
+    got = gl.v_mul_halves(*operands)
+    assert got.tolist() == [x * y % P for x, y in zip(a.tolist(), b.tolist())]
+    assert_same_into_each_operand(gl.v_mul_halves, operands, got)
 
 
 # every shift, so each of the s <= 32, 33..63, 64..95 and >= 96 branches
@@ -84,9 +102,13 @@ def test_vector_shift_is_multiplication_by_power_of_two(shift):
     rng = np.random.default_rng(shift)
     a = np.concatenate([np.array(EDGES, dtype=np.uint64),
                         rng.integers(0, P, size=500, dtype=np.uint64)])
+    before = a.copy()
     got = gl.v_shl(a, shift)
     assert got.dtype == np.uint64
     assert got.tolist() == [x * pow(2, shift, P) % P for x in a.tolist()]
+    assert np.array_equal(a, before)
+    assert_same_into_each_operand(lambda x, **kw: gl.v_shl(x, shift, **kw),
+                                  (a,), got)
 
 
 def test_pow_examples():

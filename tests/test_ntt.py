@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -97,10 +98,12 @@ def test_linearity():
 
 def test_batch_matches_per_row():
     rng = np.random.default_rng(10)
-    batch = rand_vec(rng, 256, batch=7)
-    stacked = ntt.ntt_forward(batch)
-    for row_in, row_out in zip(batch, stacked):
-        assert np.array_equal(ntt.ntt_forward(row_in), row_out)
+    # one chunk; two chunks of 2^18 values, the second ragged, at two lengths
+    for rows, length in ((7, 256), (1030, 256), (70, 4096)):
+        batch = rand_vec(rng, length, batch=rows)
+        stacked = ntt.ntt_forward(batch)
+        for row_in, row_out in zip(batch, stacked):
+            assert np.array_equal(ntt.ntt_forward(row_in), row_out)
 
 
 def test_unsupported_length():
@@ -128,10 +131,12 @@ def test_corrupted_twiddles_detected():
     assert np.array_equal(ntt.ntt_forward(v), clean)
 
 
-@pytest.mark.parametrize("shape", [(16, 4096), (1, 65536)])
+# part of a chunk, and full 2^18-value chunks at both production lengths
+@pytest.mark.parametrize("shape", [(16, 4096), (1, 65536), (4, 65536), (64, 4096)])
 def test_peak_memory_stays_near_the_input(shape):
     # numpy reports its buffers to tracemalloc; the transform keeps two
-    # chunk buffers, the output and temporaries of a few thousand values
+    # chunk buffers, a spare row, the output and one set of kernel
+    # temporaries of at most 16384 values
     v = rand_vec(np.random.default_rng(12), shape[1], batch=shape[0])
     ntt.ntt_forward(v)  # build the twiddle tables outside the measurement
     tracemalloc.start()
@@ -142,6 +147,34 @@ def test_peak_memory_stays_near_the_input(shape):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * v.nbytes
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor faults as Linux counts them")
+@pytest.mark.parametrize("in_place", [False, True])
+def test_full_chunk_faults_no_memory_in(in_place):
+    # the allocator serves the first call's buffers with fresh mappings
+    # and the second from a heap it grows once; from then on the buffers
+    # are reused, and the kernels allocate nothing
+    import resource
+    v = rand_vec(np.random.default_rng(13), 65536, batch=4)
+    out = v if in_place else None
+    for _ in range(2):
+        ntt.ntt_forward(v, out=out)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ntt.ntt_forward(v, out=out)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64
+
+
+def test_in_place_matches_out_of_place():
+    rng = np.random.default_rng(14)
+    for length, rows in ((4096, 70), (65536, 1)):
+        v = rand_vec(rng, length, batch=rows)
+        expected = ntt.ntt_forward(v)
+        w = v.copy()
+        assert ntt.ntt_forward(w, out=w) is w
+        assert np.array_equal(w, expected)
+    with pytest.raises(LengthMismatch):
+        ntt.ntt_forward(v, out=np.empty(65536 * 2, dtype=np.uint64))
 
 
 def coefficient(row, root, k):

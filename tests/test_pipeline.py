@@ -182,9 +182,9 @@ def test_worker_count_does_not_change_output(monkeypatch, tmp_path, deadline):
     # the split is seen to transform each row once and nothing twice
     log = os.open(tmp_path / "rows", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     for attr, tag in (("ntt_forward", b"f"), ("ntt_inverse", b"i")):
-        def logged(v, real=getattr(ntt, attr), tag=tag):
+        def logged(v, real=getattr(ntt, attr), tag=tag, **kwargs):
             os.write(log, tag * (v.shape[0] if v.ndim > 1 else 1))
-            return real(v)
+            return real(v, **kwargs)
         monkeypatch.setattr(ntt, attr, logged)
     rng = np.random.default_rng(5)
     try:
