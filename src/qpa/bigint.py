@@ -384,7 +384,7 @@ class BigUint:
         return isinstance(other, BigUint) and self.to_int() == other.to_int()
 
 
-def mul_ntt(a: BigUint, b: BigUint, force_ntt: bool = False) -> BigUint:
+def mul_ntt(a: BigUint, b: BigUint) -> BigUint:
     """Exact product via forward NTT, pointwise multiply, inverse NTT, carry."""
     la = _limb_count(a.bit_len)
     lb = _limb_count(b.bit_len)
@@ -394,7 +394,7 @@ def mul_ntt(a: BigUint, b: BigUint, force_ntt: bool = False) -> BigUint:
     out_bits = a.bit_len + b.bit_len
     if la == 0 or lb == 0:
         return BigUint.from_int(0, 0)
-    if la + lb <= _NTT_CUTOFF_LIMBS and not force_ntt:
+    if la + lb <= _NTT_CUTOFF_LIMBS:
         return BigUint.from_int(a.to_int() * b.to_int())
     length = next(n for n in ntt.SUPPORTED_LENGTHS if n >= la + lb)
     padded = np.zeros((2, length), dtype=_U64)

