@@ -17,15 +17,16 @@ bits.  A pass sums n such products; while n times that bound stays
 below the field modulus, the whole sum is exact in the spectrum and
 costs one inverse transform.
 
-``Words`` holds rows of values below 2^gamma.  A row's forward spectrum
-is computed once, on first use, into an anonymous shared mapping, so a
-forked process can fill a range of rows for its parent without a copy.
-Rows are filled ``ntt.batch_rows`` at a time: their weighted digits are
-written straight into the spectrum rows, which are then transformed in
-place, so a fill allocates no batch-sized arrays of its own.
-``dot`` fills any rows it needs, sums shifted row products in the
-spectrum, runs one inverse transform and returns an int congruent to
-the sum modulo 2^gamma - 1.
+``Words`` holds rows of values below 2^gamma and writes the forward
+spectra of any rows asked for, ``ntt.batch_rows`` at a time: their
+weighted digits go straight into the caller's rows, which are then
+transformed in place.  ``pass_spectra`` computes the spectra of P
+shifted row sums, the correlation of the key rows with the seed rows,
+in sections of a fixed number of key rows (Stockham's sectioned
+convolution, AFIPS SJCC 28, 1966), so its memory does not grow with
+the number of rows.  ``to_ints`` runs one inverse transform per sum and
+returns an int congruent to it modulo 2^gamma - 1, and ``dot`` is the
+one-pass case.
 
 ``mul_ntt`` is the exact integer product: 24-bit limbs, zero-padded to
 a supported length, carried back into an int by ``int_from_wide_limbs``.
@@ -35,7 +36,6 @@ coefficient is < 32768 * (2^24 - 1)^2 < 2^63.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,17 +164,10 @@ def _weighted_digits(values, lay: _Layout, out: np.ndarray) -> None:
 
 @dataclass(eq=False)
 class Words:
-    """Rows of values below 2^gamma and their weighted forward spectra.
-
-    ``spectra`` row j is valid once ``ready[j]`` is set.  Both arrays
-    live in one anonymous shared mapping, so rows that a forked child
-    fills are filled in its parent too.
-    """
+    """Rows of values below 2^gamma."""
 
     values: tuple
     gamma: int
-    spectra: np.ndarray
-    ready: np.ndarray
 
     @classmethod
     def from_ints(cls, values, gamma: int) -> "Words":
@@ -183,31 +176,21 @@ class Words:
         for v in values:
             if v.bit_length() > gamma:
                 raise ValueError(f"value of {v.bit_length()} bits exceeds gamma = {gamma}")
-        rows, length = len(values), _layout(gamma).length
-        buf = mmap.mmap(-1, max(1, rows * (8 * length + 1)))
-        spectra = np.frombuffer(buf, dtype=_U64, count=rows * length)
-        ready = np.frombuffer(buf, dtype=np.uint8, count=rows,
-                              offset=8 * rows * length)
-        return cls(values, gamma, spectra.reshape(rows, length), ready)
+        return cls(values, gamma)
 
-    def fill(self, start: int = 0, stop: int | None = None) -> None:
-        """Compute the spectra of rows start..stop-1 that are not ready.
+    def fill(self, rows, out: np.ndarray) -> None:
+        """Write the weighted forward spectrum of row ``rows[i]`` to ``out[i]``.
 
-        Runs of consecutive missing rows are filled a transform batch at
-        a time: the weighted digits go straight to the spectrum rows,
-        which are then transformed in place.
+        A transform batch at a time: the weighted digits go straight to
+        the rows of ``out``, which are then transformed in place.
         """
         lay = _layout(self.gamma)
         batch = ntt.batch_rows(lay.length)
-        missing = start + np.flatnonzero(self.ready[start:stop] == 0)
-        for run in np.split(missing, np.flatnonzero(np.diff(missing) != 1) + 1):
-            for k in range(0, len(run), batch):
-                rows = slice(run[k], run[k] + len(run[k:k + batch]))
-                spectra = self.spectra[rows]
-                _weighted_digits(self.values[rows], lay, spectra)
-                # through the module attribute, so row counters see every row
-                ntt.ntt_forward(spectra, out=spectra)
-                self.ready[rows] = 1
+        for k in range(0, len(rows), batch):
+            spectra = out[k:k + batch]
+            _weighted_digits([self.values[r] for r in rows[k:k + batch]], lay, spectra)
+            # through the module attribute, so row counters see every row
+            ntt.ntt_forward(spectra, out=spectra)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -255,15 +238,14 @@ def _sum_products(x: np.ndarray, a: np.ndarray, tmp: tuple,
     return gl.v_sub(s1, s2, s1, kernel_tmp)
 
 
-def _mac(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_k x[k] * a[k] mod p per column, in cache-sized blocks.
+def _mac(x: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
+    """Add sum_k x[k] * a[k] mod p per column to ``out``, in cache-sized blocks.
 
     The temporaries of every block come from one allocation per call.
     """
     n, length = x.shape
     cols = min(length, max(256, _MAC_BLOCK // max(n, 1)))
     rows = _MAC_BLOCK // cols
-    out = np.zeros(length, dtype=_U64)
     block_tmp = np.empty((5, min(rows, n) * cols), dtype=_U64)
     sums = np.empty((4, cols), dtype=_U64)
     kernel_tmp = gl.scratch((cols,))
@@ -276,7 +258,6 @@ def _mac(x: np.ndarray, a: np.ndarray) -> np.ndarray:
             tmp = tuple(t[:xb.size].reshape(xb.shape) for t in block_tmp)
             gl.v_add(acc, _sum_products(xb, ab, tmp, sums[:, :width], narrow),
                      acc, narrow)
-    return out
 
 
 def _int_from_coefficients(coeffs: np.ndarray, lay: _Layout) -> int:
@@ -297,6 +278,74 @@ def _int_from_coefficients(coeffs: np.ndarray, lay: _Layout) -> int:
     return total
 
 
+def step_rows(length: int) -> int:
+    """Most key rows ``pass_spectra`` adds per step at transform length ``length``."""
+    return max(ntt.batch_rows(length), 16)
+
+
+def working_set(length: int, passes: int) -> int:
+    """Bytes of the spectra ``pass_spectra`` holds at once, whatever the row count."""
+    return (2 * step_rows(length) + 2 * passes - 1) * length * 8
+
+
+def pass_spectra(x: Words, seed_fill, passes: int, start: int = 0,
+                 stop: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Add the spectra of sum_j x[j] * a[j + q], start <= j < stop, to out[q].
+
+    ``out`` holds ``passes`` rows of canonical values, zeros if not
+    given, and is returned.  ``seed_fill(rows, out)``, such as
+    ``Words.fill``, writes the spectra of the seed rows a[r]; it is
+    asked for the rows start .. stop + passes - 2, each once.  The key
+    rows go in steps of at most S = ``step_rows`` rows into a window of
+    as many rows, and the seed rows a step newly needs into a window of
+    passes - 1 more, whose rows the next step still needs move to its
+    front.  Every step reuses both windows, so the spectra held come to
+    at most ``working_set`` bytes whatever the row count.
+    """
+    length = _layout(x.gamma).length
+    stop = len(x) if stop is None else stop
+    batch, step = ntt.batch_rows(length), step_rows(length)
+    # steps of nearly equal size, as a small transform batch costs more
+    # per row, in whole batches where a step holds several
+    count = stop - start
+    steps = max(1, -(-count // step))
+    size = max(1, -(-count // steps))
+    if batch < step:
+        size = -(-size // batch) * batch
+    if out is None:
+        out = np.zeros((passes, length), dtype=_U64)
+    keys = np.empty((size, length), dtype=_U64)
+    seeds = np.empty((size + passes - 1, length), dtype=_U64)
+    have = start  # one past the last seed row in the window
+    for s in range(start, stop, size):
+        k = min(size, stop - s)
+        for r in range(have - s):  # row by row: the ranges may overlap
+            seeds[r] = seeds[size + r]
+        seed_fill(range(have, s + k + passes - 1), seeds[have - s:k + passes - 1])
+        have = s + k + passes - 1
+        x.fill(range(s, s + k), keys[:k])
+        for q in range(passes):
+            _mac(keys[:k], seeds[q:q + k], out[q])
+    return out
+
+
+def to_ints(spectra: np.ndarray, gamma: int) -> list[int]:
+    """Ints congruent, modulo 2^gamma - 1, to the row sums ``spectra`` holds.
+
+    Rows are inverted a transform batch at a time: on a 2-CPU x86 VM,
+    a lone row of 4096 values took about four times as long per row as
+    a batch of fourteen.
+    """
+    lay = _layout(gamma)
+    batch = ntt.batch_rows(lay.length)
+    totals = []
+    for k in range(0, len(spectra), batch):
+        # ntt_inverse already scales by 1/L
+        coeffs = gl.v_mul(ntt.ntt_inverse(spectra[k:k + batch]), lay.unweight)
+        totals += [_int_from_coefficients(row, lay) for row in coeffs]
+    return totals
+
+
 def dot(x: Words, a: Words, offset: int = 0) -> int:
     """An int congruent to sum_k x[k] * a[k + offset] modulo 2^gamma - 1."""
     n = len(x)
@@ -309,13 +358,8 @@ def dot(x: Words, a: Words, offset: int = 0) -> int:
     if n > limit:
         raise TooManyBlocks(f"{n} row products exceed the {limit} a pass "
                             f"sums exactly at gamma {x.gamma}")
-    x.fill()
-    a.fill(offset, offset + n)
-    lay = _layout(x.gamma)
-    spectrum = _mac(x.spectra, a.spectra[offset:offset + n])
-    # ntt_inverse already scales by 1/L
-    coeffs = gl.v_mul(ntt.ntt_inverse(spectrum), lay.unweight)
-    return _int_from_coefficients(coeffs, lay)
+    shifted = Words(a.values[offset:offset + n], a.gamma)
+    return to_ints(pass_spectra(x, shifted.fill, 1), x.gamma)[0]
 
 
 # -- exact limb products -----------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -42,6 +43,9 @@ def cmd_plan(args) -> int:
     print(f"m         = {params.m}")
     print(f"l_prime   = {params.l_prime}")
     print(f"seed bits = {pipeline.required_seed_bits(params)}")
+    length = bigint.transform_shape(params.gamma)[0]
+    print(f"L         = {length}")
+    print(f"spectra   = {bigint.working_set(length, params.pass_count)} bytes per process")
     print(f"ratio     = {params.ratio}")
     if params.l == params.N:
         print("warning: ratio 1.0 performs no compression", file=sys.stderr)
@@ -57,6 +61,20 @@ def _read_key_file(path: str, n_bits: int) -> bytes:
     return data
 
 
+def _write_whole(path: str, data: bytes) -> None:
+    """Write ``path`` whole or not at all, through a temporary file beside it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_distill(args) -> int:
     n_bits = args.in_bits
     if n_bits is None:
@@ -68,8 +86,7 @@ def cmd_distill(args) -> int:
     key_bits = pipeline.distill(
         key_data, seed, params,
         workers=args.workers, all_ones_policy=args.all_ones_policy)
-    with open(args.output, "wb") as fh:
-        fh.write(bitio.bytes_from_bits(key_bits))
+    _write_whole(args.output, bitio.bytes_from_bits(key_bits))
     print(f"wrote {(params.l + 7) // 8} bytes ({params.l} bits) to {args.output}")
     return EXIT_OK
 

@@ -6,10 +6,12 @@ little-endian gamma-bit blocks, and each shifted pass i computes
     y_i = sum_{j=1..n} a_{j+i-1} * x_j  (mod 2^gamma - 1).
 
 Blocks x_1..x_n and seed coefficients a_1, a_2, ... are both
-``bigint.Words``, read from packed bytes by ``bitio.read_words``; each
-computes its words' weighted forward spectra once, on first use.  ``bigint.dot`` sums a pass
-in the spectrum and returns an int congruent to it modulo p, and this
-module folds that int to the canonical residue.
+``bigint.Words``, read from packed bytes by ``bitio.read_words``.
+``mmh_pass`` computes one pass on its own: ``bigint.dot`` transforms the
+rows the pass needs on every call, sums the pass in the spectrum and
+returns an int congruent to it modulo p, and this module folds that int
+to the canonical residue.  ``pipeline`` runs all passes of a plan
+together, transforming each row once.
 Raw input blocks equal to the all-ones pattern do not embed injectively
 into Z_p and are rejected with their indices; replacement policy
 belongs to the caller.

@@ -7,16 +7,19 @@ is the concatenation y_1 || ... || y_m || z, where the y_i are shifted
 MMH passes and z is the modular-arithmetic tail hash of pass m+1.
 
 Blocks and seed words are ``bigint.Words``, read straight from packed
-bytes; a 0/1 array input is packed once.  Their forward spectra are
-computed on first use.
+bytes; a 0/1 array input is packed once.  ``bigint.pass_spectra``
+streams them through every pass at once, so memory does not grow with
+n, and each pass then costs one inverse transform.
 
-With more than one worker, ``distill_blocks`` fans out twice through
-``_fan_out``, the one place that starts processes: first over row ranges
-of the blocks and seed words together, whose spectra land in the
-parent's shared mappings, then over the passes, dealt out round-robin,
-whose results land in one more shared mapping.  Every row and pass runs
-through the same kernels whichever process runs it, so the worker count
-can never change output bits.
+The key blocks are cut into one contiguous range per share, and
+``_pass_sums`` fans out three times through ``_fan_out``, the one place
+that starts processes: over the seed words that two ranges need, which
+are transformed once; over the ranges, each streamed into its own pass
+spectra; and over the passes, each summed over the ranges, inverted and
+folded.  All results go to one buffer, a shared mapping when children
+write to it: with one share nothing is forked and nothing is mapped.
+Every row and pass runs through the same kernels whichever process runs
+it, so the worker count can never change output bits.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bigint, bitio, dm3h, mmh_mh
+from . import bigint, bitio, mmh_mh
+from . import goldilocks as gl
 from .dm3h import split_and_pad
 from .errors import (InvalidGamma, InvalidRatio, InvalidWorkers, LengthMismatch,
                      SeedTooShort, TooManyBlocks, WorkerFailed)
-from .mersenne import MersenneParams, MersenneResidue
+from .mersenne import MersenneParams, MersenneResidue, fold
 from .mmh_mh import MhSeed
 
 logger = logging.getLogger(__name__)
@@ -148,8 +152,8 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _fan_out(job, tasks: int, workers: int) -> None:
-    """Run job(0, s), ..., job(s - 1, s) for s = min(workers, tasks, CPUs) shares.
+def _fan_out(job, shares: int) -> None:
+    """Run job(0, shares), ..., job(shares - 1, shares).
 
     Share 0 runs in the caller; shares 1.. run in ``os.fork``ed children,
     which see the caller's memory as it was at the fork and hand results
@@ -157,7 +161,6 @@ def _fan_out(job, tasks: int, workers: int) -> None:
     forked.  Every child is reaped before this returns or raises; a child
     that raises, exits non-zero or is killed raises WorkerFailed.
     """
-    shares = min(workers, tasks, len(os.sched_getaffinity(0)))
     if shares <= 1:
         job(0, 1)
         return
@@ -200,8 +203,8 @@ def distill_blocks(blocks: bigint.Words, seed: SeedMaterial, params: PaParams,
                    workers: int | None = None) -> DistillResult:
     """Run the m (+1) passes on already-split blocks.
 
-    The forward spectra and the passes are spread over up to ``workers``
-    processes (default: QPA_WORKERS, else 1).
+    The work is spread over up to ``workers`` processes (default:
+    QPA_WORKERS, else 1).
     """
     n = len(blocks)
     if n != params.n:
@@ -211,30 +214,8 @@ def distill_blocks(blocks: bigint.Words, seed: SeedMaterial, params: PaParams,
                            f"{params.seed_words} coefficients, seed has {len(seed.A)}")
     if params.l_prime > 0 and seed.mh is None:
         raise LengthMismatch("plan has a tail stage but no MH seed was supplied")
-    nworkers = _resolve_workers(workers)
-    rows = n + params.seed_words
-
-    def fill(k: int, shares: int) -> None:
-        lo, hi = k * rows // shares, (k + 1) * rows // shares
-        blocks.fill(min(lo, n), min(hi, n))
-        seed.A.fill(max(lo, n) - n, max(hi, n) - n)
-
-    # each process writes y_i to slot i - 1 of a shared mapping, little-endian
-    width = -(-params.gamma // 8)
-    slots = mmap.mmap(-1, params.pass_count * width)
-    indices = range(1, params.pass_count + 1)
-
-    def passes(k: int, shares: int) -> None:
-        for i in indices[k::shares]:
-            y = dm3h.mmh_pass(blocks, seed.A, i)
-            slots[(i - 1) * width:i * width] = y.value.to_bytes(width, "little")
-
-    _fan_out(fill, rows, nworkers)
-    with slots:
-        _fan_out(passes, len(indices), nworkers)
-        outputs = [MersenneResidue(int.from_bytes(slots[j:j + width], "little"),
-                                   params.mersenne)
-                   for j in range(0, len(slots), width)]
+    sums = _pass_sums(blocks, seed.A, params.pass_count, _resolve_workers(workers))
+    outputs = [MersenneResidue(y, params.mersenne) for y in sums]
 
     y_blocks = outputs[:params.m]
     pieces = [bitio.bits_from_int(y.value, params.gamma) for y in y_blocks]
@@ -244,6 +225,62 @@ def distill_blocks(blocks: bigint.Words, seed: SeedMaterial, params: PaParams,
     if len(key) != params.l:
         raise LengthMismatch(f"key has {len(key)} bits, plan expects {params.l}")
     return DistillResult(key_bits=key, y_blocks=y_blocks)
+
+
+def _pass_sums(blocks: bigint.Words, A: bigint.Words, passes: int,
+               workers: int) -> list[int]:
+    """The folded pass sums, from up to ``workers`` processes.
+
+    The shares are capped by the blocks and the usable CPUs.  Share k
+    streams blocks bounds[k] .. bounds[k+1] - 1, which need seed words
+    bounds[k] .. bounds[k+1] + passes - 2, so the words two shares need
+    are the passes - 1 from the start of each range but the first.
+    """
+    n, gamma = len(blocks), blocks.gamma
+    length = bigint.transform_shape(gamma)[0]
+    shares = min(workers, n, len(os.sched_getaffinity(0)))
+    bounds = [k * n // shares for k in range(shares + 1)]
+    shared = sorted({r for b in bounds[1:-1] for r in range(b, b + passes - 1)})
+    slot = np.full(len(A), -1)
+    slot[shared] = range(len(shared))
+    # the shared seed spectra, each share's pass spectra and each pass's
+    # folded sum, little-endian, in one buffer: a shared mapping when
+    # children write to it
+    rows, width = len(shared) + shares * passes, -(-gamma // 8)
+    size = 8 * rows * length + passes * width
+    buf = mmap.mmap(-1, size) if shares > 1 else bytearray(size)
+    spectra = np.frombuffer(buf, dtype=np.uint64, count=rows * length).reshape(rows, length)
+    known, acc = spectra[:len(shared)], spectra[len(shared):].reshape(shares, passes, length)
+    sums = np.frombuffer(buf, dtype=np.uint8, offset=8 * rows * length).reshape(passes, width)
+
+    def transform(k: int, s: int) -> None:
+        part = slice(k * len(shared) // s, (k + 1) * len(shared) // s)
+        A.fill(shared[part], known[part])
+
+    def seed_fill(rows: range, out: np.ndarray) -> None:
+        # the words of one range that no other range needs form one run
+        slots = slot[rows.start:rows.stop]
+        own = np.flatnonzero(slots < 0)
+        if len(own):
+            A.fill(rows[own[0]:own[-1] + 1], out[own[0]:own[-1] + 1])
+        for i in np.flatnonzero(slots >= 0):
+            out[i] = known[slots[i]]
+
+    def stream(k: int, s: int) -> None:
+        bigint.pass_spectra(blocks, seed_fill, passes, bounds[k], bounds[k + 1], acc[k])
+
+    def finish(k: int, s: int) -> None:
+        mine = range(k * passes // s, (k + 1) * passes // s)
+        for q in mine:
+            for part in acc[1:, q]:
+                gl.v_add(acc[0, q], part, acc[0, q])
+        for q, total in zip(mine, bigint.to_ints(acc[0, mine.start:mine.stop], gamma)):
+            sums[q] = np.frombuffer(fold(total, gamma).to_bytes(width, "little"), dtype=np.uint8)
+
+    _fan_out(transform, min(shares, len(shared)))
+    _fan_out(stream, shares)
+    _fan_out(finish, min(shares, passes))
+    return [int.from_bytes(row.tobytes(), "little") for row in sums]
 
 
 def distill(X, seed: SeedMaterial, params: PaParams,

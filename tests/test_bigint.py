@@ -107,6 +107,37 @@ def test_dot_sums_shifted_row_products():
         bigint.dot(x, a, 4)
 
 
+@pytest.mark.parametrize("gamma,n,passes", [
+    (127, 3, 7),       # more passes than rows
+    (4253, 130, 70),   # 64-row steps whose moved seed rows overlap
+])
+def test_pass_spectra_sums_each_shifted_range(gamma, n, passes):
+    rng = np.random.default_rng(n)
+    p = (1 << gamma) - 1
+    xs = [int.from_bytes(rng.bytes(gamma // 8), "little") for _ in range(n)]
+    coeffs = [int.from_bytes(rng.bytes(gamma // 8), "little")
+              for _ in range(n + passes - 1)]
+    x, a = bigint.Words.from_ints(xs, gamma), bigint.Words.from_ints(coeffs, gamma)
+    for start, stop in ((0, n), (1, n - 1)):
+        asked = []
+
+        def seed_fill(rows, out):
+            asked.extend(rows)
+            a.fill(rows, out)
+
+        spectra = bigint.pass_spectra(x, seed_fill, passes, start, stop)
+        # each seed row the range needs is transformed once, in order
+        assert asked == list(range(start, stop + passes - 1))
+        for q, total in enumerate(bigint.to_ints(spectra, gamma)):
+            assert fold(total, gamma) == sum(
+                xs[j] * coeffs[j + q] for j in range(start, stop)) % p
+    # out accumulates: a second range adds its sums to the first
+    both = bigint.pass_spectra(x, a.fill, passes, 0, 1)
+    bigint.pass_spectra(x, a.fill, passes, 1, n, both)
+    assert fold(bigint.to_ints(both[-1:], gamma)[0], gamma) == sum(
+        xs[j] * coeffs[j + passes - 1] for j in range(n)) % p
+
+
 def test_transform_shape_and_row_limit():
     assert bigint.transform_shape(7) == (16, 1)
     assert bigint.transform_shape(521) == (256, 3)

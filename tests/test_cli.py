@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import qpa
-from qpa import bitio, cli, dm3h, pipeline
+from qpa import bigint, bitio, cli, pipeline
 
 
 def run(argv):
@@ -22,6 +23,9 @@ def test_plan_output(capsys):
     assert "m         = 13" in out
     assert "l_prime   = 161093" in out
     assert "seed bits = 112012172" in out
+    # 16 key rows, 16 + 13 seed rows and 14 pass rows of 65536 values
+    assert "L         = 65536" in out
+    assert f"spectra   = {59 * 65536 * 8} bytes per process" in out
 
 
 def test_plan_ratio_one_warns(capsys):
@@ -145,6 +149,40 @@ def test_distill_missing_file_is_io_error(tmp_path):
                 "--out-bits", 10, "--gamma-exp", 7]) == cli.EXIT_IO
 
 
+def test_failed_write_leaves_the_old_key_and_no_partial_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.bin"
+    out.write_bytes(b"old key")
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:1])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return FullDisk(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    assert run(zero_distill_args(tmp_path)) == cli.EXIT_IO
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == b"old key"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["key.bin", "out.bin", "seed.bin"]
+    monkeypatch.undo()
+    assert run(zero_distill_args(tmp_path)) == 0
+    assert out.read_bytes() == bytes(2)
+
+
 def test_distill_worker_determinism(tmp_path):
     rng = np.random.default_rng(12)
     params = pipeline.plan(127 * 12, 500, 127)
@@ -182,31 +220,32 @@ def test_workers_env_default(tmp_path, monkeypatch):
     seen = []
     real = pipeline._fan_out
 
-    def recording(job, tasks, workers):
+    def recording(job, shares):
         def noting(k, shares):
             if k == 0:   # share 0 runs in this process
                 seen.append(shares)
             return job(k, shares)
-        return real(noting, tasks, workers)
+        return real(noting, shares)
 
     monkeypatch.setattr(pipeline, "_fan_out", recording)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setenv("QPA_WORKERS", "3")
     assert run(zero_distill_args(tmp_path)) == 0
-    # 8 blocks and 9 seed words over 3 shares, then 2 passes over 2
-    assert seen == [3, 2]
+    # 8 blocks in 3 ranges; the 2 seed words two ranges need over 2
+    # shares, the ranges over 3, then 2 passes over 2
+    assert seen == [2, 3, 2]
 
 
 def test_worker_failure_exit_code(tmp_path, monkeypatch, capsys):
     parent = os.getpid()
-    real_pass = dm3h.mmh_pass
+    real_stream = bigint.pass_spectra
 
-    def mmh_pass(*args):
+    def pass_spectra(*args):
         if os.getpid() != parent:
             os._exit(9)
-        return real_pass(*args)
+        return real_stream(*args)
 
-    monkeypatch.setattr(dm3h, "mmh_pass", mmh_pass)
+    monkeypatch.setattr(bigint, "pass_spectra", pass_spectra)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert run(zero_distill_args(tmp_path) + ["--workers", 2]) == cli.EXIT_WORKER
     assert "exited with status 9" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 import errno
+import mmap
 import os
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qpa import bigint, bitio, dm3h, ntt, oracle, pipeline
+from qpa import bigint, bitio, ntt, oracle, pipeline
 from qpa.errors import (AllOnesBlock, InvalidGamma, InvalidRatio,
                         InvalidWorkers, LengthMismatch, SeedTooShort,
                         TooManyBlocks, WorkerFailed)
@@ -209,6 +211,74 @@ def test_worker_count_does_not_change_output(monkeypatch, tmp_path, deadline):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("N,l,gamma", [
+    # 3 shares of 2 blocks and P = 5: seed words that 3 shares need
+    (127 * 6, 127 * 4 + 10, 127),
+    # P = n, the most passes a plan has (bigint tests take P > n)
+    (127 * 3, 127 * 3, 127),
+    # n = 150 is not a multiple of the 64-row steps at L = 4096
+    (4253 * 150 - 5, 4253 * 2 + 7, 4253),
+])
+def test_split_edge_cases_transform_each_row_once(N, l, gamma, monkeypatch, tmp_path,
+                                                  deadline):
+    fake_cpus(monkeypatch, 4)
+    log = os.open(tmp_path / "rows", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    for attr, tag in (("ntt_forward", b"f"), ("ntt_inverse", b"i")):
+        def logged(v, real=getattr(ntt, attr), tag=tag, **kwargs):
+            os.write(log, tag * (v.shape[0] if v.ndim > 1 else 1))
+            return real(v, **kwargs)
+        monkeypatch.setattr(ntt, attr, logged)
+    params = pipeline.plan(N, l, gamma)
+    x, seed = random_instance(np.random.default_rng(N), params)
+    expected = bitio.bytes_from_bits(oracle.naive_distill(x, seed, params))
+    try:
+        for w in (1, 2, 3):
+            os.ftruncate(log, 0)
+            out = pipeline.distill(x, seed, params, workers=w)
+            assert bitio.bytes_from_bits(out) == expected, (params, w)
+            rows = (tmp_path / "rows").read_bytes()
+            assert (rows.count(b"f"), rows.count(b"i")) == (
+                params.n + params.seed_words, params.pass_count), (params, w)
+    finally:
+        os.close(log)
+    assert_no_child_left()
+
+
+def test_one_share_forks_and_maps_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("one share must not fork or map")
+
+    fake_cpus(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    params = pipeline.plan(127 * 20, 127 * 3 + 50, 127)
+    x, seed = random_instance(np.random.default_rng(18), params)
+    assert np.array_equal(pipeline.distill(x, seed, params, workers=1),
+                          oracle.naive_distill(x, seed, params))
+
+
+def test_working_set_does_not_grow_with_the_blocks():
+    # the traced peak covers numpy buffers; from 64 blocks, a full step
+    # of key rows at L = 4096, 4n blocks add no spectra to it
+    gamma = 19937
+    length = bigint.transform_shape(gamma)[0]
+    assert bigint.step_rows(length) == 64
+    rng = np.random.default_rng(19)
+    peaks = []
+    for n in (64, 256):
+        params = pipeline.plan(gamma * n, gamma * 2 + 100, gamma)
+        blocks = pipeline.split_and_pad(rng.bytes(-(-params.N // 8)), params.mersenne)
+        seed = pipeline.seed_from_bits(
+            rng.bytes(-(-pipeline.required_seed_bits(params) // 8)), params)
+        tracemalloc.start()
+        try:
+            pipeline.distill_blocks(blocks, seed, params, workers=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8 * length * 8, peaks
+
+
 def test_share_count_is_capped_by_the_rows(monkeypatch):
     # 64 workers and 64 CPUs on a plan of 2 blocks and 2 seed words: fewer
     # children than rows, and the counter stops a runaway fan-out before
@@ -244,18 +314,18 @@ def test_worker_failure_is_raised_and_reaped(fail, monkeypatch, capfd, deadline)
     # the other is reaped on the way out
     fake_cpus(monkeypatch, 3)
     parent = os.getpid()
-    real_pass = dm3h.mmh_pass
+    real_stream = bigint.pass_spectra
 
-    def mmh_pass(*args):
+    def pass_spectra(*args):
         if os.getpid() != parent:
             if fail == "exit":
                 os._exit(9)
             if fail == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise ZeroDivisionError("pass failed in a child")
-        return real_pass(*args)
+        return real_stream(*args)
 
-    monkeypatch.setattr(dm3h, "mmh_pass", mmh_pass)
+    monkeypatch.setattr(bigint, "pass_spectra", pass_spectra)
     params = pipeline.plan(127 * 12, 127 * 3 + 50, 127)
     x, seed = random_instance(np.random.default_rng(15), params)
     status = {"exit": "9", "raise": "1", "kill": "-9"}[fail]
@@ -273,12 +343,12 @@ def test_failure_in_share_0_is_raised_and_reaped(monkeypatch, deadline):
     fake_cpus(monkeypatch, 3)
     parent = os.getpid()
 
-    def mmh_pass(*args):
+    def pass_spectra(*args):
         if os.getpid() == parent:
             raise ZeroDivisionError("pass failed in the parent")
         time.sleep(90)   # past the deadline: only the kill ends it in time
 
-    monkeypatch.setattr(dm3h, "mmh_pass", mmh_pass)
+    monkeypatch.setattr(bigint, "pass_spectra", pass_spectra)
     params = pipeline.plan(127 * 12, 127 * 3 + 50, 127)
     x, seed = random_instance(np.random.default_rng(15), params)
     with pytest.raises(ZeroDivisionError, match="pass failed in the parent"):
