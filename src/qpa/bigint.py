@@ -17,7 +17,10 @@ bits.  A pass sums n such products; while n times that bound stays
 below the field modulus, the whole sum is exact in the spectrum and
 costs one inverse transform.
 
-``Words`` holds rows of values below 2^gamma and writes the forward
+``Words`` is the one form of gamma-bit rows: one packed bit stream,
+kept as 64-bit words, whose row r starts at bit r*gamma.  Every reader
+gathers a batch of rows realigned to bit 0 straight from the stream,
+so no transform input is an int.  ``Words.fill`` writes the forward
 spectra of any rows asked for, ``ntt.batch_rows`` at a time: their
 weighted digits go straight into the caller's rows, which are then
 transformed in place.  ``pass_spectra`` computes the spectra of P
@@ -36,12 +39,13 @@ coefficient is < 32768 * (2^24 - 1)^2 < 2^63.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import bitio, ntt
 from . import goldilocks as gl
-from . import ntt
 from .errors import OperandTooLarge, TooManyBlocks
 
 _U64 = np.uint64
@@ -54,6 +58,8 @@ MAX_GAMMA = _DIGIT_BITS * ntt.SUPPORTED_LENGTHS[-1]  # 786432
 
 # values per block of the spectral MAC
 _MAC_BLOCK = 1 << 16
+# words of realigned rows the all-ones test holds at once
+_TEST_WORDS = 1 << 16
 
 
 def transform_shape(gamma: int) -> tuple[int, int]:
@@ -121,19 +127,18 @@ def _layout(gamma: int) -> _Layout:
     return lay
 
 
-def _weighted_digits(values, lay: _Layout, out: np.ndarray) -> None:
-    """Write the weighted digits of each value to its row of ``out``.
+def _weighted_digits(words: np.ndarray, lay: _Layout, out: np.ndarray) -> None:
+    """Write the weighted digits of each row of ``words`` to its row of ``out``.
 
-    Digit j is read from the two 64-bit words that hold bits e_j ..
+    ``words`` holds rows realigned to bit 0, ``Words._rows``, at least
+    gamma // 64 + 2 words wide, so word e_j // 64 + 1 exists for every
+    j.  Digit j is read from the two 64-bit words that hold bits e_j ..
     e_j + 63, a sixteenth of the columns at a time: for a full
     transform batch, one piece of the transform, so the temporaries
     stay in cache.
     """
-    nwords = lay.gamma // 64 + 2  # word e_j // 64 + 1 exists for every j
-    raw = b"".join(v.to_bytes(8 * nwords, "little") for v in values)
-    words = np.frombuffer(raw, dtype="<u8").reshape(len(values), nwords)
     cols = max(1, lay.length // 16)
-    digits = np.empty((len(values), cols), dtype=_U64)
+    digits = np.empty((len(words), cols), dtype=_U64)
     hi = np.empty_like(digits)
     tmp = gl.scratch(digits.shape)
     t = tmp[0]
@@ -162,21 +167,92 @@ def _weighted_digits(values, lay: _Layout, out: np.ndarray) -> None:
         gl.v_add(hi, lo, lo, tmp)
 
 
-@dataclass(eq=False)
 class Words:
-    """Rows of values below 2^gamma."""
+    """``count`` rows of gamma bits: row r is bits r*gamma .. of one packed stream.
 
-    values: tuple
-    gamma: int
+    The stream, ordered as ``bitio`` orders bits, is kept once as
+    little-endian 64-bit words, zero past the cut and for gamma // 64 + 3
+    words after it, so the last row reads as far as any other.  A row
+    slice is a view on the same stream.
+    """
+
+    def __init__(self, data, gamma: int, count: int, nbits: int | None = None):
+        """Rows of packed bytes or a 0/1 array; bits past ``nbits`` (default all) read 0."""
+        have = bitio.bit_count(data)
+        nbits = have if nbits is None else nbits
+        if nbits > have:
+            raise ValueError(f"need {nbits} bits, have {have}")
+        cut = min(nbits, count * gamma)
+        if isinstance(data, (bytes, bytearray)):
+            packed = np.frombuffer(data, dtype=np.uint8, count=-(-cut // 8))
+        else:
+            packed = np.packbits(np.asarray(data, dtype=np.uint8)[:cut], bitorder="little")
+        stream = np.zeros(8 * (count * gamma // 64 + gamma // 64 + 3), dtype=np.uint8)
+        stream[:len(packed)] = packed
+        stream[cut // 8] &= (1 << cut % 8) - 1  # bits past the cut
+        self._stream = stream.view("<u8")
+        self._zero = np.zeros(count, dtype=bool)  # rows that read as 0
+        self._first, self._count, self.gamma = 0, count, gamma
 
     @classmethod
     def from_ints(cls, values, gamma: int) -> "Words":
         """One row per value; every value must fit in ``gamma`` bits."""
-        values = tuple(values)
+        values = list(values)
         for v in values:
             if v.bit_length() > gamma:
                 raise ValueError(f"value of {v.bit_length()} bits exceeds gamma = {gamma}")
-        return cls(values, gamma)
+        bits = [bitio.bits_from_int(v, gamma) for v in values]
+        return cls(np.concatenate(bits) if bits else b"", gamma, len(bits))
+
+    def __getitem__(self, rows: slice) -> "Words":
+        """Rows ``rows``, a slice of step 1, as a view on the same stream."""
+        start, stop, _ = rows.indices(self._count)
+        view = copy.copy(self)
+        view._first, view._count = self._first + start, max(stop - start, 0)
+        return view
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _rows(self, rows) -> np.ndarray:
+        """Rows ``rows`` realigned to bit 0, gamma // 64 + 2 words each.
+
+        Row r starts at bit 64q + s, so its word i is w[q + i] >> s |
+        w[q + i + 1] << (64 - s), the second shift taken in two steps as
+        a shift by 64 is undefined.  Above bit gamma a row holds the next
+        row's bits.  That is harmless: ``ints`` and the all-ones test mask
+        them off, and the transform's digit masks stop below e_L = gamma.
+        """
+        rows = self._first + np.asarray(rows, dtype=np.int64)
+        start = rows * self.gamma
+        s = (start & 63).astype(_U64)[:, None]
+        w = self._stream[(start >> 6)[:, None] + np.arange(self.gamma // 64 + 3)]
+        out = (w[:, :-1] >> s) | (w[:, 1:] << _U64(1) << (_U64(63) - s))
+        out[self._zero[rows]] = 0
+        return out
+
+    def zero_all_ones(self) -> list[int]:
+        """Read every row of gamma ones as 0 from now on; return their indices.
+
+        Such a row is 2^gamma - 1, which is 0 modulo 2^gamma - 1.  Rows
+        are tested ``_TEST_WORDS`` words at a time.
+        """
+        full, rest = divmod(self.gamma, 64)
+        top = _U64((1 << rest) - 1)
+        step = max(1, _TEST_WORDS // (full + 2))
+        bad = []
+        for k in range(0, self._count, step):
+            w = self._rows(range(k, min(k + step, self._count)))
+            ones = (w[:, :full] == ~_U64(0)).all(axis=1) & (w[:, full] & top == top)
+            bad += (k + np.flatnonzero(ones)).tolist()
+        self._zero[self._first + np.array(bad, dtype=np.int64)] = True
+        return bad
+
+    def ints(self) -> list[int]:
+        """Every row as an int below 2^gamma: the seed's b and c, the oracle, tests."""
+        mask = (1 << self.gamma) - 1
+        return [int.from_bytes(row.tobytes(), "little") & mask
+                for row in self._rows(range(self._count))]
 
     def fill(self, rows, out: np.ndarray) -> None:
         """Write the weighted forward spectrum of row ``rows[i]`` to ``out[i]``.
@@ -188,12 +264,9 @@ class Words:
         batch = ntt.batch_rows(lay.length)
         for k in range(0, len(rows), batch):
             spectra = out[k:k + batch]
-            _weighted_digits([self.values[r] for r in rows[k:k + batch]], lay, spectra)
+            _weighted_digits(self._rows(rows[k:k + batch]), lay, spectra)
             # through the module attribute, so row counters see every row
             ntt.ntt_forward(spectra, out=spectra)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _sum_products(x: np.ndarray, a: np.ndarray, tmp: tuple,
@@ -358,8 +431,7 @@ def dot(x: Words, a: Words, offset: int = 0) -> int:
     if n > limit:
         raise TooManyBlocks(f"{n} row products exceed the {limit} a pass "
                             f"sums exactly at gamma {x.gamma}")
-    shifted = Words(a.values[offset:offset + n], a.gamma)
-    return to_ints(pass_spectra(x, shifted.fill, 1), x.gamma)[0]
+    return to_ints(pass_spectra(x, a[offset:offset + n].fill, 1), x.gamma)[0]
 
 
 # -- exact limb products -----------------------------------------------------
@@ -445,7 +517,7 @@ def mul_ntt(a: BigUint, b: BigUint) -> BigUint:
     padded[0, :la] = a.limbs[:la]
     padded[1, :lb] = b.limbs[:lb]
     fa, fb = ntt.ntt_forward(padded)
-    value = int_from_wide_limbs(ntt.ntt_inverse(ntt.pointwise_mul(fa, fb)))
+    value = int_from_wide_limbs(ntt.ntt_inverse(gl.v_mul(fa, fb)))
     if value.bit_length() > out_bits:
         raise ArithmeticError(
             f"product of {a.bit_len}- and {b.bit_len}-bit operands came out "

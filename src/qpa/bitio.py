@@ -4,10 +4,11 @@ One convention everywhere: bit i of a stream is bit i of the integer it
 encodes (little-endian, bit 0 least significant), and inside a byte the
 least-significant bit comes first.
 
-Inside the library key and seed streams stay packed bytes: ``read_words``
-slices gamma-bit words straight out of them.  0/1 arrays (numpy uint8)
-exist only at the public edge: callers may pass them in, where they are
-packed once, and distilled keys come back as them.
+Inside the library key and seed streams stay packed: ``bigint.Words``
+keeps each one as 64-bit words and reads its gamma-bit rows by
+position.  0/1 arrays (numpy uint8) exist only at the public edge:
+callers may pass them in, where they are packed once, and distilled
+keys come back as them.
 """
 
 from __future__ import annotations
@@ -41,25 +42,3 @@ def bit_count(data) -> int:
         return 8 * len(data)
     return np.asarray(data).size
 
-
-def read_words(data, gamma: int, count: int, nbits: int | None = None) -> list[int]:
-    """``count`` little-endian gamma-bit ints from the first ``nbits`` bits.
-
-    ``data`` is packed bytes or a 0/1 array, which is packed once;
-    ``nbits`` defaults to all of it.  Bits past ``nbits`` read as 0.
-    """
-    have = bit_count(data)
-    if not isinstance(data, (bytes, bytearray)):
-        data = bytes_from_bits(data)
-    nbits = have if nbits is None else nbits
-    if nbits > have:
-        raise ValueError(f"need {nbits} bits, have {have}")
-    words = []
-    for start in range(0, count * gamma, gamma):
-        stop = min(start + gamma, nbits)
-        if stop <= start:
-            words.append(0)
-            continue
-        value = int.from_bytes(data[start >> 3:(stop + 7) >> 3], "little") >> (start & 7)
-        words.append(value & ((1 << (stop - start)) - 1))
-    return words

@@ -5,8 +5,9 @@ little-endian gamma-bit blocks, and each shifted pass i computes
 
     y_i = sum_{j=1..n} a_{j+i-1} * x_j  (mod 2^gamma - 1).
 
-Blocks x_1..x_n and seed coefficients a_1, a_2, ... are both
-``bigint.Words``, read from packed bytes by ``bitio.read_words``.
+Blocks x_1..x_n and seed coefficients a_1, a_2, ... are both rows of
+a ``bigint.Words``, which keeps the packed stream and reads each
+gamma-bit row by position.
 ``mmh_pass`` computes one pass on its own: ``bigint.dot`` transforms the
 rows the pass needs on every call, sums the pass in the spectrum and
 returns an int congruent to it modulo p, and this module folds that int
@@ -14,7 +15,7 @@ to the canonical residue.  ``pipeline`` runs all passes of a plan
 together, transforming each row once.
 Raw input blocks equal to the all-ones pattern do not embed injectively
 into Z_p and are rejected with their indices; replacement policy
-belongs to the caller.
+belongs to the caller, and ``Words.zero_all_ones`` carries it out.
 """
 
 from __future__ import annotations
@@ -42,19 +43,16 @@ def split_and_pad(X, params: MersenneParams, all_ones_policy: str = "error",
         nbits = bitio.bit_count(X)
     if nbits < 1:
         raise ValueError("input must contain at least one bit")
-    gamma = params.gamma
-    values = bitio.read_words(X, gamma, -(-nbits // gamma), nbits)
+    blocks = bigint.Words(X, params.gamma, -(-nbits // params.gamma), nbits)
     # only a full-width block can equal p; padding zeros keep the rest below
-    bad = [j + 1 for j, v in enumerate(values) if v == params.p]
+    bad = [j + 1 for j in blocks.zero_all_ones()]
     if bad:
         if all_ones_policy != "zero":
             raise AllOnesBlock(bad)
         logger.warning(
             "substituting zero for all-ones blocks %s; the universality "
             "guarantee does not cover substituted blocks", bad)
-        for j in bad:
-            values[j - 1] = 0
-    return bigint.Words.from_ints(values, gamma)
+    return blocks
 
 
 def mmh_pass(x: bigint.Words, seed: bigint.Words, i: int) -> MersenneResidue:

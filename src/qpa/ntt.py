@@ -210,15 +210,6 @@ def ntt_inverse(X: np.ndarray) -> np.ndarray:
     return _run(X, inverse=True, out=None)
 
 
-def pointwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a_arr = np.asarray(a, dtype=_U64)
-    b_arr = np.asarray(b, dtype=_U64)
-    if a_arr.shape[-1] != b_arr.shape[-1]:
-        raise LengthMismatch(
-            f"lengths {a_arr.shape[-1]} and {b_arr.shape[-1]} differ")
-    return gl.v_mul(a_arr, b_arr)
-
-
 # -- test hooks -------------------------------------------------------------
 
 def _testing_corrupt_twiddle(length: int, inverse: bool = False) -> None:

@@ -99,7 +99,7 @@ def naive_distill(X, seed: SeedMaterial, params: PaParams) -> np.ndarray:
     bad = [j + 1 for j, blk in enumerate(blocks) if blk == p]
     if bad:
         raise AllOnesBlock(bad)
-    A = seed.A.values
+    A = seed.A.ints()
 
     def f(i: int) -> int:
         return sum(A[j + i - 2] * blocks[j - 1]

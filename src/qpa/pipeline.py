@@ -6,10 +6,12 @@ full output blocks, and a tail of l' = l - m*gamma bits.  The output key
 is the concatenation y_1 || ... || y_m || z, where the y_i are shifted
 MMH passes and z is the modular-arithmetic tail hash of pass m+1.
 
-Blocks and seed words are ``bigint.Words``, read straight from packed
-bytes; a 0/1 array input is packed once.  ``bigint.pass_spectra``
-streams them through every pass at once, so memory does not grow with
-n, and each pass then costs one inverse transform.
+Blocks and seed words are rows of ``bigint.Words``, which keeps each
+packed stream once and reads rows by position; a 0/1 array input is
+packed once, and A, b and c are rows of one seed stream.
+``bigint.pass_spectra`` streams the rows through every pass at once,
+so memory does not grow with n, and each pass then costs one inverse
+transform.
 
 The key blocks are cut into one contiguous range per share, and
 ``_pass_sums`` fans out three times through ``_fan_out``, the one place
@@ -119,13 +121,12 @@ def seed_from_bits(bits, params: PaParams) -> SeedMaterial:
     need, have = required_seed_bits(params), bitio.bit_count(bits)
     if have < need:
         raise LengthMismatch(f"seed stream has {have} bits, need {need}")
-    words = bitio.read_words(bits, gamma, need // gamma)
-    p = params.mersenne.p
-    A = bigint.Words.from_ints(
-        [0 if w == p else w for w in words[:params.seed_words]], gamma)
+    words = bigint.Words(bits, gamma, need // gamma)
+    A = words[:params.seed_words]
+    A.zero_all_ones()
     mh = None
     if params.l_prime > 0:
-        b, c = words[params.seed_words:]
+        b, c = words[params.seed_words:].ints()
         if b % 2 == 0:
             logger.info("forcing seed word b odd by setting its low bit")
             b |= 1

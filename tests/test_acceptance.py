@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qpa import bigint, bitio, ntt, oracle, pipeline
+from qpa import goldilocks as gl
 from qpa.errors import AllOnesBlock
 from qpa.mersenne import fold
 
@@ -107,12 +108,12 @@ def test_criterion_2_ntt_round_trip_and_convolution():
         v = rng.integers(0, 1 << 63, size=length).astype(np.uint64)
         assert np.array_equal(ntt.ntt_forward(v), oracle.naive_ntt(v))
         assert np.array_equal(ntt.ntt_inverse(v), oracle.naive_ntt_inverse(v))
-        # convolution theorem: INTT(pointwise(NTT a, NTT b)) = cyclic conv
+        # convolution theorem: INTT(v_mul(NTT a, NTT b)) = cyclic conv
         a = [int(e) for e in rng.integers(0, 1 << 20, size=length)]
         b = [int(e) for e in rng.integers(0, 1 << 20, size=length)]
         direct = [sum(a[j] * b[(k - j) % length] for j in range(length))
                   for k in range(length)]
-        via = ntt.ntt_inverse(ntt.pointwise_mul(
+        via = ntt.ntt_inverse(gl.v_mul(
             ntt.ntt_forward(np.array(a, dtype=np.uint64)),
             ntt.ntt_forward(np.array(b, dtype=np.uint64))))
         assert via.tolist() == direct
@@ -201,7 +202,7 @@ def test_criterion_6_full_scale_linearity():
     b1 = pipeline.split_and_pad(x1, params.mersenne)
     b2 = pipeline.split_and_pad(x2, params.mersenne)
     summed = bigint.Words.from_ints(
-        [(a + b) % p for a, b in zip(b1.values, b2.values)],
+        [(a + b) % p for a, b in zip(b1.ints(), b2.ints())],
         params.gamma)
     r1 = pipeline.distill_blocks(b1, seed, params)
     r2 = pipeline.distill_blocks(b2, seed, params)

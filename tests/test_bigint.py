@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpa import bigint, bitio, ntt, oracle
+from qpa import bigint, bitio, dm3h, ntt, oracle, pipeline
 from qpa.bigint import BigUint
-from qpa.errors import OperandTooLarge, TooManyBlocks
+from qpa.errors import AllOnesBlock, OperandTooLarge, TooManyBlocks
 from qpa.goldilocks import P64
 from qpa.mersenne import fold
 
@@ -18,7 +18,7 @@ bit_arrays = st.lists(st.integers(0, 1), min_size=0, max_size=200).map(
 
 def as_int(bits):
     """The integer a little-endian bit array encodes."""
-    return bitio.read_words(bits, max(len(bits), 1), 1)[0]
+    return int.from_bytes(bitio.bytes_from_bits(bits), "little")
 
 
 def test_from_bit_stream_examples():
@@ -99,12 +99,50 @@ def test_dot_sums_shifted_row_products():
     coeffs = [int.from_bytes(rng.bytes(gamma // 8), "little") for _ in range(43)]
     x = bigint.Words.from_ints(xs, gamma)
     a = bigint.Words.from_ints(coeffs, gamma)
-    assert x.values[39] == xs[39]
+    assert x.ints()[39] == xs[39]
     for offset in (0, 3):
         assert fold(bigint.dot(x, a, offset), gamma) == sum(
             v * coeffs[k + offset] for k, v in enumerate(xs)) % p
     with pytest.raises(ValueError):
         bigint.dot(x, a, 4)
+
+
+@pytest.mark.parametrize("gamma", [7, 61, 127, 521, 19937])
+def test_rows_are_read_apart_from_their_neighbours(gamma):
+    """All-ones rows between random ones, at offsets r*gamma off the byte grid.
+
+    A reader that let one row's bits into its neighbour's, or that saw a
+    raw all-ones row, would change the ints or the ring products.
+    """
+    rng = np.random.default_rng(gamma)
+    p = (1 << gamma) - 1
+    n = 5
+    params = pipeline.plan(n * gamma, gamma + 1, gamma)  # A, then b and c
+    rows = [p if r % 2 == 0 else int.from_bytes(rng.bytes(gamma // 8 + 1), "little") % p
+            for r in range(params.seed_words + 2)]
+    bits = np.concatenate([bitio.bits_from_int(v, gamma) for v in rows])
+
+    def defined(count):
+        """Rows by the definition: bit i of row r is stream bit r*gamma + i."""
+        return [sum(int(b) << i for i, b in enumerate(bits[r * gamma:(r + 1) * gamma]))
+                for r in range(count)]
+
+    key = bitio.bytes_from_bits(bits[:params.N])
+    with pytest.raises(AllOnesBlock) as info:
+        dm3h.split_and_pad(key, params.mersenne, nbits=params.N)
+    assert info.value.indices == [1, 3, 5]
+    blocks = dm3h.split_and_pad(key, params.mersenne, all_ones_policy="zero",
+                                nbits=params.N)
+    xs = [0 if v == p else v for v in defined(n)]
+    assert blocks.ints() == xs
+    seed = pipeline.seed_from_bits(bits, params)
+    coeffs = [0 if v == p else v for v in defined(params.seed_words)]
+    assert seed.A.ints() == coeffs
+    # b (all ones) and c follow A in the same stream and keep their bits
+    assert (seed.mh.b, seed.mh.c) == tuple(defined(len(rows))[params.seed_words:])
+    for offset in (0, 1):
+        assert fold(bigint.dot(blocks, seed.A, offset), gamma) == sum(
+            x * coeffs[k + offset] for k, x in enumerate(xs)) % p
 
 
 @pytest.mark.parametrize("gamma,n,passes", [

@@ -11,7 +11,7 @@ from qpa.mmh_mh import MhSeed
 
 def as_int(bits):
     """The integer a little-endian bit array encodes."""
-    return bitio.read_words(bits, len(bits), 1)[0]
+    return int.from_bytes(bitio.bytes_from_bits(bits), "little")
 
 
 def test_core_definition_example():

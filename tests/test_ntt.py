@@ -71,16 +71,15 @@ def test_convolution_theorem(length):
     rng = np.random.default_rng(length + 3)
     a = rand_vec(rng, length)
     b = rand_vec(rng, length)
-    fast = ntt.ntt_inverse(ntt.pointwise_mul(ntt.ntt_forward(a),
-                                             ntt.ntt_forward(b)))
+    fast = ntt.ntt_inverse(gl.v_mul(ntt.ntt_forward(a), ntt.ntt_forward(b)))
     assert np.array_equal(fast, naive_cyclic_convolution(a, b))
 
 
 def test_pointwise_identities():
     rng = np.random.default_rng(5)
     v = rand_vec(rng, 16)
-    assert np.array_equal(ntt.pointwise_mul(v, np.ones(16, dtype=np.uint64)), v)
-    assert np.array_equal(ntt.pointwise_mul(v, np.zeros(16, dtype=np.uint64)),
+    assert np.array_equal(gl.v_mul(v, np.ones(16, dtype=np.uint64)), v)
+    assert np.array_equal(gl.v_mul(v, np.zeros(16, dtype=np.uint64)),
                           np.zeros(16, dtype=np.uint64))
 
 
@@ -111,12 +110,6 @@ def test_unsupported_length():
         ntt.ntt_forward(np.zeros(32, dtype=np.uint64))
     with pytest.raises(UnsupportedLength):
         ntt.ntt_inverse(np.zeros(17, dtype=np.uint64))
-
-
-def test_pointwise_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        ntt.pointwise_mul(np.zeros(16, dtype=np.uint64),
-                          np.zeros(256, dtype=np.uint64))
 
 
 def test_corrupted_twiddles_detected():
