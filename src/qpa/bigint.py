@@ -28,8 +28,8 @@ shifted row sums, the correlation of the key rows with the seed rows,
 in sections of a fixed number of key rows (Stockham's sectioned
 convolution, AFIPS SJCC 28, 1966), so its memory does not grow with
 the number of rows.  ``to_ints`` runs one inverse transform per sum and
-returns an int congruent to it modulo 2^gamma - 1, and ``dot`` is the
-one-pass case.
+folds it to its canonical residue in [0, 2^gamma - 2], so no caller
+reduces, and ``dot`` is the one-pass case.
 
 ``mul_ntt`` is the exact integer product: 24-bit limbs, zero-padded to
 a supported length, carried back into an int by ``int_from_wide_limbs``.
@@ -47,6 +47,7 @@ import numpy as np
 from . import bitio, ntt
 from . import goldilocks as gl
 from .errors import OperandTooLarge, TooManyBlocks
+from .mersenne import fold
 
 _U64 = np.uint64
 _M32 = _U64(0xFFFFFFFF)
@@ -403,7 +404,7 @@ def pass_spectra(x: Words, seed_fill, passes: int, start: int = 0,
 
 
 def to_ints(spectra: np.ndarray, gamma: int) -> list[int]:
-    """Ints congruent, modulo 2^gamma - 1, to the row sums ``spectra`` holds.
+    """The row sums ``spectra`` holds, each reduced modulo 2^gamma - 1.
 
     Rows are inverted a transform batch at a time: on a 2-CPU x86 VM,
     a lone row of 4096 values took about four times as long per row as
@@ -415,12 +416,12 @@ def to_ints(spectra: np.ndarray, gamma: int) -> list[int]:
     for k in range(0, len(spectra), batch):
         # ntt_inverse already scales by 1/L
         coeffs = gl.v_mul(ntt.ntt_inverse(spectra[k:k + batch]), lay.unweight)
-        totals += [_int_from_coefficients(row, lay) for row in coeffs]
+        totals += [fold(_int_from_coefficients(row, lay), gamma) for row in coeffs]
     return totals
 
 
 def dot(x: Words, a: Words, offset: int = 0) -> int:
-    """An int congruent to sum_k x[k] * a[k + offset] modulo 2^gamma - 1."""
+    """sum_k x[k] * a[k + offset] modulo 2^gamma - 1."""
     n = len(x)
     if x.gamma != a.gamma:
         raise ValueError(f"gamma {x.gamma} and {a.gamma} differ")

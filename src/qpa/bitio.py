@@ -31,7 +31,7 @@ def bytes_from_bits(bits: np.ndarray) -> bytes:
 
 def bits_from_int(x: int, width: int) -> np.ndarray:
     if x >> width:
-        raise ValueError(f"{x} does not fit in {width} bits")
+        raise ValueError(f"a value of {x.bit_length()} bits does not fit in {width} bits")
     data = x.to_bytes((width + 7) // 8 or 1, "little")
     return bits_from_bytes(data, width)
 

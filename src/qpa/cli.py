@@ -96,12 +96,7 @@ def cmd_gen_seed(args) -> int:
     nbytes = (pipeline.required_seed_bits(params) + 7) // 8
     print("warning: OS randomness; production QKD seeds must come from the "
           "QKD randomness source", file=sys.stderr)
-    with open(args.output, "wb") as fh:
-        remaining = nbytes
-        while remaining:
-            chunk = os.urandom(min(remaining, 1 << 20))
-            fh.write(chunk)
-            remaining -= len(chunk)
+    _write_whole(args.output, os.urandom(nbytes))
     print(f"wrote {nbytes} seed bytes to {args.output}")
     return EXIT_OK
 
@@ -140,8 +135,8 @@ def _selftest_suites():
             x, y = (int.from_bytes(rng.bytes(gamma // 8 + 1), "little") % p
                     for _ in range(2))
             for a, b in ((x, y), (p - 1, p - 1)):
-                got = mersenne.fold(bigint.dot(bigint.Words.from_ints([a], gamma),
-                                               bigint.Words.from_ints([b], gamma)), gamma)
+                got = bigint.dot(bigint.Words.from_ints([a], gamma),
+                                 bigint.Words.from_ints([b], gamma))
                 _check(got == oracle.mul_schoolbook(a, b) % p,
                        f"product mod 2^{gamma} - 1")
 
@@ -205,8 +200,8 @@ def _selftest_suites():
         x, y = p - 1, int.from_bytes(rng.bytes(66), "little") % p
 
         def product():
-            return mersenne.fold(bigint.dot(bigint.Words.from_ints([x], gamma),
-                                            bigint.Words.from_ints([y], gamma)), gamma)
+            return bigint.dot(bigint.Words.from_ints([x], gamma),
+                              bigint.Words.from_ints([y], gamma))
 
         _check(product() == x * y % p, "weighted product")
         bigint._testing_corrupt_weight(gamma)

@@ -10,9 +10,8 @@ a ``bigint.Words``, which keeps the packed stream and reads each
 gamma-bit row by position.
 ``mmh_pass`` computes one pass on its own: ``bigint.dot`` transforms the
 rows the pass needs on every call, sums the pass in the spectrum and
-returns an int congruent to it modulo p, and this module folds that int
-to the canonical residue.  ``pipeline`` runs all passes of a plan
-together, transforming each row once.
+returns its canonical residue modulo p.  ``pipeline`` runs all passes
+of a plan together, transforming each row once.
 Raw input blocks equal to the all-ones pattern do not embed injectively
 into Z_p and are rejected with their indices; replacement policy
 belongs to the caller, and ``Words.zero_all_ones`` carries it out.
@@ -24,7 +23,7 @@ import logging
 
 from . import bigint, bitio
 from .errors import AllOnesBlock, SeedTooShort
-from .mersenne import MersenneParams, MersenneResidue, fold
+from .mersenne import MersenneParams, MersenneResidue
 
 logger = logging.getLogger(__name__)
 
@@ -56,10 +55,7 @@ def split_and_pad(X, params: MersenneParams, all_ones_policy: str = "error",
 
 
 def mmh_pass(x: bigint.Words, seed: bigint.Words, i: int) -> MersenneResidue:
-    """y_i = sum_j a_{j+i-1} * x_j mod (2^gamma - 1) for pass index i >= 1.
-
-    The modular fold is deferred until the whole pass is accumulated.
-    """
+    """y_i = sum_j a_{j+i-1} * x_j mod (2^gamma - 1) for pass index i >= 1."""
     if i < 1:
         raise ValueError(f"pass index must be >= 1, got {i}")
     n = len(x)
@@ -67,5 +63,4 @@ def mmh_pass(x: bigint.Words, seed: bigint.Words, i: int) -> MersenneResidue:
         raise SeedTooShort(
             f"pass {i} over {n} blocks needs {n + i - 1} coefficients, "
             f"seed has {len(seed)}")
-    total = bigint.dot(x, seed, i - 1)
-    return MersenneResidue(fold(total, x.gamma), MersenneParams(x.gamma))
+    return MersenneResidue(bigint.dot(x, seed, i - 1), MersenneParams(x.gamma))

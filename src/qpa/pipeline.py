@@ -17,8 +17,10 @@ The key blocks are cut into one contiguous range per share, and
 ``_pass_sums`` fans out three times through ``_fan_out``, the one place
 that starts processes: over the seed words that two ranges need, which
 are transformed once; over the ranges, each streamed into its own pass
-spectra; and over the passes, each summed over the ranges, inverted and
-folded.  All results go to one buffer, a shared mapping when children
+spectra; and over the passes, each summed over the ranges, reduced to
+its canonical residue by ``bigint.to_ints`` and written as a
+little-endian byte row, from which the key's y_1 .. y_m are unpacked at
+once.  All results go to one buffer, a shared mapping when children
 write to it: with one share nothing is forked and nothing is mapped.
 Every row and pass runs through the same kernels whichever process runs
 it, so the worker count can never change output bits.
@@ -41,7 +43,7 @@ from . import goldilocks as gl
 from .dm3h import split_and_pad
 from .errors import (InvalidGamma, InvalidRatio, InvalidWorkers, LengthMismatch,
                      SeedTooShort, TooManyBlocks, WorkerFailed)
-from .mersenne import MersenneParams, MersenneResidue, fold
+from .mersenne import MersenneParams, MersenneResidue
 from .mmh_mh import MhSeed
 
 logger = logging.getLogger(__name__)
@@ -137,7 +139,6 @@ def seed_from_bits(bits, params: PaParams) -> SeedMaterial:
 @dataclass
 class DistillResult:
     key_bits: np.ndarray
-    y_blocks: list[MersenneResidue]   # passes 1..m
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -216,26 +217,26 @@ def distill_blocks(blocks: bigint.Words, seed: SeedMaterial, params: PaParams,
     if params.l_prime > 0 and seed.mh is None:
         raise LengthMismatch("plan has a tail stage but no MH seed was supplied")
     sums = _pass_sums(blocks, seed.A, params.pass_count, _resolve_workers(workers))
-    outputs = [MersenneResidue(y, params.mersenne) for y in sums]
-
-    y_blocks = outputs[:params.m]
-    pieces = [bitio.bits_from_int(y.value, params.gamma) for y in y_blocks]
+    key = np.unpackbits(sums[:params.m], axis=1, count=params.gamma,
+                        bitorder="little").reshape(-1)
     if params.l_prime > 0:
-        pieces.append(mmh_mh.mh_hash(outputs[-1], seed.mh, params.l_prime))
-    key = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
+        y = MersenneResidue(int.from_bytes(sums[-1].tobytes(), "little"), params.mersenne)
+        key = np.concatenate([key, mmh_mh.mh_hash(y, seed.mh, params.l_prime)])
     if len(key) != params.l:
         raise LengthMismatch(f"key has {len(key)} bits, plan expects {params.l}")
-    return DistillResult(key_bits=key, y_blocks=y_blocks)
+    return DistillResult(key_bits=key)
 
 
 def _pass_sums(blocks: bigint.Words, A: bigint.Words, passes: int,
-               workers: int) -> list[int]:
-    """The folded pass sums, from up to ``workers`` processes.
+               workers: int) -> np.ndarray:
+    """The pass sums' residues, as little-endian rows of ceil(gamma / 8) bytes.
 
-    The shares are capped by the blocks and the usable CPUs.  Share k
-    streams blocks bounds[k] .. bounds[k+1] - 1, which need seed words
-    bounds[k] .. bounds[k+1] + passes - 2, so the words two shares need
-    are the passes - 1 from the start of each range but the first.
+    Up to ``workers`` processes compute them, capped by the blocks and
+    the usable CPUs, and the rows are copied out of the buffer, so its
+    spectra are freed on return.  Share k streams blocks bounds[k] ..
+    bounds[k+1] - 1, which need seed words bounds[k] .. bounds[k+1] +
+    passes - 2, so the words two shares need are the passes - 1 from the
+    start of each range but the first.
     """
     n, gamma = len(blocks), blocks.gamma
     length = bigint.transform_shape(gamma)[0]
@@ -245,7 +246,7 @@ def _pass_sums(blocks: bigint.Words, A: bigint.Words, passes: int,
     slot = np.full(len(A), -1)
     slot[shared] = range(len(shared))
     # the shared seed spectra, each share's pass spectra and each pass's
-    # folded sum, little-endian, in one buffer: a shared mapping when
+    # residue, little-endian, in one buffer: a shared mapping when
     # children write to it
     rows, width = len(shared) + shares * passes, -(-gamma // 8)
     size = 8 * rows * length + passes * width
@@ -275,13 +276,13 @@ def _pass_sums(blocks: bigint.Words, A: bigint.Words, passes: int,
         for q in mine:
             for part in acc[1:, q]:
                 gl.v_add(acc[0, q], part, acc[0, q])
-        for q, total in zip(mine, bigint.to_ints(acc[0, mine.start:mine.stop], gamma)):
-            sums[q] = np.frombuffer(fold(total, gamma).to_bytes(width, "little"), dtype=np.uint8)
+        for q, y in zip(mine, bigint.to_ints(acc[0, mine.start:mine.stop], gamma)):
+            sums[q] = np.frombuffer(y.to_bytes(width, "little"), dtype=np.uint8)
 
     _fan_out(transform, min(shares, len(shared)))
     _fan_out(stream, shares)
     _fan_out(finish, min(shares, passes))
-    return [int.from_bytes(row.tobytes(), "little") for row in sums]
+    return sums.copy()
 
 
 def distill(X, seed: SeedMaterial, params: PaParams,

@@ -7,7 +7,6 @@ from qpa import bigint, bitio, dm3h, ntt, oracle, pipeline
 from qpa.bigint import BigUint
 from qpa.errors import AllOnesBlock, OperandTooLarge, TooManyBlocks
 from qpa.goldilocks import P64
-from qpa.mersenne import fold
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=0, max_size=200).map(
     lambda v: np.array(v, dtype=np.uint8))
@@ -40,6 +39,10 @@ def test_to_bit_stream_examples():
     assert bitio.bits_from_int(1 << 24, 25).tolist() == [0] * 24 + [1]
     with pytest.raises(ValueError):
         bitio.bits_from_int(256, 8)
+    # the message gives the bit length, as a value this wide has too many
+    # decimal digits to format
+    with pytest.raises(ValueError, match="does not fit"):
+        bitio.bits_from_int(1 << 20000, 19937)
 
 
 @given(bit_arrays)
@@ -101,7 +104,7 @@ def test_dot_sums_shifted_row_products():
     a = bigint.Words.from_ints(coeffs, gamma)
     assert x.ints()[39] == xs[39]
     for offset in (0, 3):
-        assert fold(bigint.dot(x, a, offset), gamma) == sum(
+        assert bigint.dot(x, a, offset) == sum(
             v * coeffs[k + offset] for k, v in enumerate(xs)) % p
     with pytest.raises(ValueError):
         bigint.dot(x, a, 4)
@@ -141,7 +144,7 @@ def test_rows_are_read_apart_from_their_neighbours(gamma):
     # b (all ones) and c follow A in the same stream and keep their bits
     assert (seed.mh.b, seed.mh.c) == tuple(defined(len(rows))[params.seed_words:])
     for offset in (0, 1):
-        assert fold(bigint.dot(blocks, seed.A, offset), gamma) == sum(
+        assert bigint.dot(blocks, seed.A, offset) == sum(
             x * coeffs[k + offset] for k, x in enumerate(xs)) % p
 
 
@@ -167,12 +170,12 @@ def test_pass_spectra_sums_each_shifted_range(gamma, n, passes):
         # each seed row the range needs is transformed once, in order
         assert asked == list(range(start, stop + passes - 1))
         for q, total in enumerate(bigint.to_ints(spectra, gamma)):
-            assert fold(total, gamma) == sum(
+            assert total == sum(
                 xs[j] * coeffs[j + q] for j in range(start, stop)) % p
     # out accumulates: a second range adds its sums to the first
     both = bigint.pass_spectra(x, a.fill, passes, 0, 1)
     bigint.pass_spectra(x, a.fill, passes, 1, n, both)
-    assert fold(bigint.to_ints(both[-1:], gamma)[0], gamma) == sum(
+    assert bigint.to_ints(both[-1:], gamma)[0] == sum(
         xs[j] * coeffs[j + passes - 1] for j in range(n)) % p
 
 
@@ -222,7 +225,7 @@ def test_dot_matches_plain_ints(gamma, data):
     x = bigint.Words.from_ints(xs, gamma)
     a = bigint.Words.from_ints(coeffs, gamma)
     for offset in range(extra + 1):
-        assert fold(bigint.dot(x, a, offset), gamma) == sum(
+        assert bigint.dot(x, a, offset) == sum(
             v * coeffs[k + offset] for k, v in enumerate(xs)) % p
 
 
@@ -236,8 +239,26 @@ def test_dot_three_rows_of_p_minus_one(gamma):
     x = bigint.Words.from_ints(xs, gamma)
     a = bigint.Words.from_ints(coeffs, gamma)
     for offset in (0, 1):
-        assert fold(bigint.dot(x, a, offset), gamma) == sum(
+        assert bigint.dot(x, a, offset) == sum(
             v * coeffs[k + offset] for k, v in enumerate(xs)) % p
+
+
+@pytest.mark.parametrize("gamma", [7, 127, 19937])
+def test_dot_and_to_ints_return_canonical_residues(gamma):
+    # residues lie in [0, p - 1]: a sum of exactly p reads 0, not p
+    rng = np.random.default_rng(gamma)
+    p = (1 << gamma) - 1
+    ones = bigint.Words.from_ints([1, 1], gamma)
+    assert bigint.dot(ones, bigint.Words.from_ints([1, p - 1], gamma)) == 0
+    xs = [int.from_bytes(rng.bytes(gamma // 8 + 1), "little") % p for _ in range(6)]
+    coeffs = [p - 1] * 3 + [int.from_bytes(rng.bytes(gamma // 8 + 1), "little") % p
+                            for _ in range(4)]
+    x, a = bigint.Words.from_ints(xs, gamma), bigint.Words.from_ints(coeffs, gamma)
+    expected = [sum(v * coeffs[k + q] for k, v in enumerate(xs)) % p for q in (0, 1)]
+    assert [bigint.dot(x, a, q) for q in (0, 1)] == expected
+    assert bigint.to_ints(bigint.pass_spectra(x, a.fill, 2), gamma) == expected
+    spectra = bigint.pass_spectra(ones, bigint.Words.from_ints([1, p - 1, 1], gamma).fill, 2)
+    assert bigint.to_ints(spectra, gamma) == [0, 0]
 
 
 def test_dot_checks_its_operands(monkeypatch):
@@ -257,8 +278,8 @@ def test_corrupt_weight_is_detected_and_cleared():
     x, y = p - 1, 0x1234567890ABCDEF1234567890ABCDEF % p
 
     def product():
-        return fold(bigint.dot(bigint.Words.from_ints([x], gamma),
-                               bigint.Words.from_ints([y], gamma)), gamma)
+        return bigint.dot(bigint.Words.from_ints([x], gamma),
+                          bigint.Words.from_ints([y], gamma))
 
     assert product() == x * y % p
     bigint._testing_corrupt_weight(gamma)

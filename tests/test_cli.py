@@ -149,9 +149,8 @@ def test_distill_missing_file_is_io_error(tmp_path):
                 "--out-bits", 10, "--gamma-exp", 7]) == cli.EXIT_IO
 
 
-def test_failed_write_leaves_the_old_key_and_no_partial_file(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "out.bin"
-    out.write_bytes(b"old key")
+def fill_the_disk(monkeypatch):
+    """Make every file ``cli`` opens for writing take one byte, then fail."""
     real_open = open
 
     class FullDisk:
@@ -174,6 +173,12 @@ def test_failed_write_leaves_the_old_key_and_no_partial_file(tmp_path, monkeypat
         return FullDisk(fh) if "w" in mode else fh
 
     monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+
+
+def test_failed_write_leaves_the_old_key_and_no_partial_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.bin"
+    out.write_bytes(b"old key")
+    fill_the_disk(monkeypatch)
     assert run(zero_distill_args(tmp_path)) == cli.EXIT_IO
     assert "No space left on device" in capsys.readouterr().err
     assert out.read_bytes() == b"old key"
@@ -181,6 +186,22 @@ def test_failed_write_leaves_the_old_key_and_no_partial_file(tmp_path, monkeypat
     monkeypatch.undo()
     assert run(zero_distill_args(tmp_path)) == 0
     assert out.read_bytes() == bytes(2)
+
+
+def test_failed_gen_seed_leaves_the_old_seed_and_no_partial_file(tmp_path, monkeypatch,
+                                                                 capsys):
+    out = tmp_path / "seed.bin"
+    out.write_bytes(b"old seed")
+    args = ["gen-seed", "--in-bits", 100, "--out-bits", 10, "--gamma-exp", 7,
+            "--output", out]
+    fill_the_disk(monkeypatch)
+    assert run(args) == cli.EXIT_IO
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == b"old seed"
+    assert [p.name for p in tmp_path.iterdir()] == ["seed.bin"]
+    monkeypatch.undo()
+    assert run(args) == 0
+    assert out.stat().st_size == 16
 
 
 def test_distill_worker_determinism(tmp_path):
