@@ -25,11 +25,17 @@ spectra of any rows asked for, ``ntt.batch_rows`` at a time: their
 weighted digits go straight into the caller's rows, which are then
 transformed in place.  ``pass_spectra`` computes the spectra of P
 shifted row sums, the correlation of the key rows with the seed rows,
-in sections of a fixed number of key rows (Stockham's sectioned
+in steps of a fixed number of key rows (Stockham's sectioned
 convolution, AFIPS SJCC 28, 1966), so its memory does not grow with
-the number of rows.  ``to_ints`` runs one inverse transform per sum and
-folds it to its canonical residue in [0, 2^gamma - 2], so no caller
-reduces, and ``dot`` is the one-pass case.
+the number of rows.  One of the two ``engines`` sums a step's
+products, as ``pass_engine`` picks from the row and pass counts: the
+MAC adds each pass's row products to its own spectrum row, and the
+block engine, for many passes over many rows, computes a bin's P sums
+at once by a short transform along the row axis, whose twiddles are
+all shifts (``ntt.shift_dft``).  Both give the same field elements.
+``to_ints`` runs one inverse transform per sum and folds it to its
+canonical residue in [0, 2^gamma - 2], so no caller reduces, and
+``dot`` is the one-pass case.
 
 ``mul_ntt`` is the exact integer product: 24-bit limbs, zero-padded to
 a supported length, carried back into an int by ``int_from_wide_limbs``.
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bitio, ntt
+from . import bitio, engines, ntt
 from . import goldilocks as gl
 from .errors import OperandTooLarge, TooManyBlocks
 from .mersenne import fold
@@ -57,8 +63,12 @@ _M32 = _U64(0xFFFFFFFF)
 _DIGIT_BITS = 12
 MAX_GAMMA = _DIGIT_BITS * ntt.SUPPORTED_LENGTHS[-1]  # 786432
 
-# values per block of the spectral MAC
-_MAC_BLOCK = 1 << 16
+# block lengths of the block engine, and where it takes over from the
+# MAC (``pass_engine``)
+_BLOCK_SIZES = (16, 32, 64)
+_BLOCK_PASSES = 8
+_BLOCK_ROWS = 32
+_BLOCK_PRODUCTS = 400
 # words of realigned rows the all-ones test holds at once
 _TEST_WORDS = 1 << 16
 
@@ -128,8 +138,9 @@ def _layout(gamma: int) -> _Layout:
     return lay
 
 
-def _weighted_digits(words: np.ndarray, lay: _Layout, out: np.ndarray) -> None:
-    """Write the weighted digits of each row of ``words`` to its row of ``out``.
+def _weighted_digits(words: np.ndarray, lay: _Layout, out: np.ndarray,
+                     weight: tuple) -> None:
+    """Write the digits of each row of ``words``, times ``weight``, to its row of ``out``.
 
     ``words`` holds rows realigned to bit 0, ``Words._rows``, at least
     gamma // 64 + 2 words wide, so word e_j // 64 + 1 exists for every
@@ -145,7 +156,7 @@ def _weighted_digits(words: np.ndarray, lay: _Layout, out: np.ndarray) -> None:
     t = tmp[0]
     next_word = np.empty(cols, dtype=np.int64)
     rest = np.empty(cols, dtype=_U64)
-    w0, w1 = lay.weight
+    w0, w1 = weight
     for c in range(0, lay.length, cols):
         part = slice(c, c + cols)
         np.take(words, lay.word[part], axis=1, out=digits)
@@ -255,83 +266,21 @@ class Words:
         return [int.from_bytes(row.tobytes(), "little") & mask
                 for row in self._rows(range(self._count))]
 
-    def fill(self, rows, out: np.ndarray) -> None:
+    def fill(self, rows, out: np.ndarray, weight: tuple | None = None) -> None:
         """Write the weighted forward spectrum of row ``rows[i]`` to ``out[i]``.
 
         A transform batch at a time: the weighted digits go straight to
         the rows of ``out``, which are then transformed in place.
+        ``weight`` replaces the layout's digit weights, as 32-bit halves.
         """
         lay = _layout(self.gamma)
         batch = ntt.batch_rows(lay.length)
         for k in range(0, len(rows), batch):
             spectra = out[k:k + batch]
-            _weighted_digits(self._rows(rows[k:k + batch]), lay, spectra)
+            _weighted_digits(self._rows(rows[k:k + batch]), lay, spectra,
+                             weight or lay.weight)
             # through the module attribute, so row counters see every row
             ntt.ntt_forward(spectra, out=spectra)
-
-
-def _sum_products(x: np.ndarray, a: np.ndarray, tmp: tuple,
-                  sums: np.ndarray, kernel_tmp: tuple) -> np.ndarray:
-    """sum over rows of x * a mod p, for fewer than 2^16 rows.
-
-    Each 128-bit product is four 64-bit partial products; their 32-bit
-    halves add up exactly in uint64 at bit offsets 0, 32, 64 and 96,
-    and each column is reduced once.  ``tmp`` is five arrays shaped
-    like x, ``sums`` four rows and ``kernel_tmp`` the field kernels'
-    temporaries, all as wide as x; every one is overwritten, and the
-    result is a row of ``sums``.
-    """
-    ll, hh, hl, t, lh = tmp
-    np.bitwise_and(x, _M32, out=ll)
-    np.right_shift(x, _U64(32), out=hh)
-    np.bitwise_and(a, _M32, out=hl)
-    np.right_shift(a, _U64(32), out=t)
-    np.multiply(ll, t, out=lh)
-    ll *= hl
-    hl *= hh
-    hh *= t
-    s0, s1, s2, s3 = sums
-    np.add.reduce(np.bitwise_and(ll, _M32, out=t), axis=0, out=s0)
-    ll >>= _U64(32)
-    ll += np.bitwise_and(lh, _M32, out=t)
-    ll += np.bitwise_and(hl, _M32, out=t)
-    np.add.reduce(ll, axis=0, out=s1)
-    lh >>= _U64(32)
-    hl >>= _U64(32)
-    lh += hl
-    lh += np.bitwise_and(hh, _M32, out=t)
-    np.add.reduce(lh, axis=0, out=s2)
-    hh >>= _U64(32)
-    np.add.reduce(hh, axis=0, out=s3)
-    # 2^64 = 2^32 - 1 and 2^96 = -1.  Every s_i < 2^50, so s1 + s2, s0 and
-    # s2 + s3 are below 2^51 and canonical operands for the field kernels
-    s1 += s2
-    s2 += s3
-    gl.v_shl(s1, 32, s1, kernel_tmp)
-    gl.v_add(s1, s0, s1, kernel_tmp)
-    return gl.v_sub(s1, s2, s1, kernel_tmp)
-
-
-def _mac(x: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
-    """Add sum_k x[k] * a[k] mod p per column to ``out``, in cache-sized blocks.
-
-    The temporaries of every block come from one allocation per call.
-    """
-    n, length = x.shape
-    cols = min(length, max(256, _MAC_BLOCK // max(n, 1)))
-    rows = _MAC_BLOCK // cols
-    block_tmp = np.empty((5, min(rows, n) * cols), dtype=_U64)
-    sums = np.empty((4, cols), dtype=_U64)
-    kernel_tmp = gl.scratch((cols,))
-    for c in range(0, length, cols):
-        acc = out[c:c + cols]
-        width = len(acc)
-        narrow = tuple(t[:width] for t in kernel_tmp)
-        for r in range(0, n, rows):
-            xb, ab = x[r:r + rows, c:c + cols], a[r:r + rows, c:c + cols]
-            tmp = tuple(t[:xb.size].reshape(xb.shape) for t in block_tmp)
-            gl.v_add(acc, _sum_products(xb, ab, tmp, sums[:, :width], narrow),
-                     acc, narrow)
 
 
 def _int_from_coefficients(coeffs: np.ndarray, lay: _Layout) -> int:
@@ -357,9 +306,64 @@ def step_rows(length: int) -> int:
     return max(ntt.batch_rows(length), 16)
 
 
-def working_set(length: int, passes: int) -> int:
-    """Bytes of the spectra ``pass_spectra`` holds at once, whatever the row count."""
-    return (2 * step_rows(length) + 2 * passes - 1) * length * 8
+def pass_engine(rows: int, passes: int) -> int:
+    """The block length B ``pass_spectra`` sums ``passes`` passes over ``rows`` key rows with.
+
+    0 means the MAC: each pass sums its own row products, rows * passes
+    of them.  The block engine (``engines.BlockSums``) spends two length-B
+    transforms along the row axis and B products on each section of
+    T = B - G + 1 key rows, G <= B/2 passes at a time, and inverts one
+    (B, L) accumulator per group at the end.  So it pays once there are
+    enough passes to share its transforms and enough rows to share its
+    inverse: from ``_BLOCK_PASSES`` passes and max(``_BLOCK_ROWS``,
+    ``_BLOCK_PRODUCTS`` // passes) rows.  Whole ``pass_spectra`` calls
+    on a 2-CPU x86 VM at L = 4096, MAC against block: 20 rows and 14
+    passes 49 / 55 ms, 30 and 14 65 / 64 ms, 67 and 14 107 / 93 ms,
+    24 rows and 20 passes 48 / 57 ms.  B is the shortest of
+    ``_BLOCK_SIZES`` that takes every pass in one group, else the
+    longest.
+    """
+    if passes < _BLOCK_PASSES or rows < max(_BLOCK_ROWS, _BLOCK_PRODUCTS // passes):
+        return 0
+    return next((size for size in _BLOCK_SIZES if 2 * passes <= size), _BLOCK_SIZES[-1])
+
+
+def _steps(rows: int, length: int, passes: int) -> tuple[int, int, int, int]:
+    """(B, T, S, K): the engine, its key rows per section, the key rows per
+    step and the rows of the key window.
+
+    Steps are of nearly equal size in whole sections (T = 1 for the
+    MAC), as a small transform batch costs more per row, and in whole
+    batches where a MAC step holds several.  The window holds a step,
+    or the whole range in whole sections if that is less.
+    """
+    size = pass_engine(rows, passes)
+    section = engines.BlockSums.shape(size, passes)[0] if size else 1
+    batch, step = ntt.batch_rows(length), step_rows(length)
+    total = -(-rows // section)
+    steps = max(1, -(-total // max(1, step // section)))
+    keys = max(1, -(-total // steps)) * section
+    if batch < step and not size:
+        keys = -(-keys // batch) * batch
+    return size, section, keys, -(-min(keys, max(rows, 1)) // section) * section
+
+
+def working_set(length: int, rows: int, passes: int) -> int:
+    """Bytes of spectra and section buffers ``pass_spectra`` holds for ``rows`` key rows.
+
+    The key and seed windows hold K rows and K + passes - 1 rows, and
+    the output ``passes`` rows; the block engine adds its accumulators
+    and a step's section buffers.  None of them grows with ``rows``
+    once it passes a step.
+    """
+    size, section, _, keys = _steps(rows, length, passes)
+    values = (2 * keys + 2 * passes - 1) * length
+    if size:
+        groups = len(engines.BlockSums.shape(size, passes)[1])
+        sections = keys // section
+        width = sections * engines.BlockSums.columns(length, sections)
+        values += groups * size * length + (size + 2) * width
+    return 8 * values
 
 
 def pass_spectra(x: Words, seed_fill, passes: int, start: int = 0,
@@ -370,36 +374,44 @@ def pass_spectra(x: Words, seed_fill, passes: int, start: int = 0,
     given, and is returned.  ``seed_fill(rows, out)``, such as
     ``Words.fill``, writes the spectra of the seed rows a[r]; it is
     asked for the rows start .. stop + passes - 2, each once.  The key
-    rows go in steps of at most S = ``step_rows`` rows into a window of
-    as many rows, and the seed rows a step newly needs into a window of
-    passes - 1 more, whose rows the next step still needs move to its
-    front.  Every step reuses both windows, so the spectra held come to
-    at most ``working_set`` bytes whatever the row count.
+    rows go in steps (``_steps``) into a window of as many rows, and the
+    seed rows a step newly needs into a window of passes - 1 more, whose
+    rows the next step still needs move to its front.  Each step's
+    products go to the engine ``pass_engine`` picks: the MAC adds them
+    to ``out`` pass by pass, the block engine to its accumulators.
+    Every step reuses the windows, so the memory held comes to
+    ``working_set`` bytes, which does not grow with the row count.
     """
-    length = _layout(x.gamma).length
+    lay = _layout(x.gamma)
+    length = lay.length
     stop = len(x) if stop is None else stop
-    batch, step = ntt.batch_rows(length), step_rows(length)
-    # steps of nearly equal size, as a small transform batch costs more
-    # per row, in whole batches where a step holds several
-    count = stop - start
-    steps = max(1, -(-count // step))
-    size = max(1, -(-count // steps))
-    if batch < step:
-        size = -(-size // batch) * batch
+    size, _, step, window = _steps(stop - start, length, passes)
     if out is None:
         out = np.zeros((passes, length), dtype=_U64)
-    keys = np.empty((size, length), dtype=_U64)
-    seeds = np.empty((size + passes - 1, length), dtype=_U64)
+    keys = np.empty((window, length), dtype=_U64)
+    seeds = np.empty((window + passes - 1, length), dtype=_U64)
+    if size:
+        engine = engines.BlockSums(size, passes, length, lay.weight)
+        weight = engine.weight
+    else:
+        weight = None
     have = start  # one past the last seed row in the window
-    for s in range(start, stop, size):
-        k = min(size, stop - s)
+    for s in range(start, stop, step):
+        k = min(step, stop - s)
         for r in range(have - s):  # row by row: the ranges may overlap
-            seeds[r] = seeds[size + r]
+            seeds[r] = seeds[step + r]
         seed_fill(range(have, s + k + passes - 1), seeds[have - s:k + passes - 1])
         have = s + k + passes - 1
-        x.fill(range(s, s + k), keys[:k])
-        for q in range(passes):
-            _mac(keys[:k], seeds[q:q + k], out[q])
+        x.fill(range(s, s + k), keys[:k], weight)
+        if size:
+            keys[k:] = 0
+            seeds[k + passes - 1:] = 0
+            engine.add(keys, seeds)
+        else:
+            for q in range(passes):
+                engines.mac(keys[:k], seeds[q:q + k], out[q])
+    if size:
+        engine.finish(out)
     return out
 
 

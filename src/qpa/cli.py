@@ -45,7 +45,10 @@ def cmd_plan(args) -> int:
     print(f"seed bits = {pipeline.required_seed_bits(params)}")
     length = bigint.transform_shape(params.gamma)[0]
     print(f"L         = {length}")
-    print(f"spectra   = {bigint.working_set(length, params.pass_count)} bytes per process")
+    size = bigint.pass_engine(params.n, params.pass_count)
+    print(f"engine    = {f'block, B = {size}' if size else 'MAC'}")
+    spectra = bigint.working_set(length, params.n, params.pass_count)
+    print(f"spectra   = {spectra} bytes per process")
     print(f"ratio     = {params.ratio}")
     if params.l == params.N:
         print("warning: ratio 1.0 performs no compression", file=sys.stderr)
@@ -157,8 +160,10 @@ def _selftest_suites():
             _check(np.array_equal(fast, slow), "distilled key differs")
 
     def workers_equivalence():
-        # two workers fork a child for each fan-out on a machine with 2+ CPUs
-        params = pipeline.plan(127 * 12, 127 * 2 + 50, 127)
+        # two workers fork a child for each fan-out on a machine with 2+ CPUs;
+        # 14 passes over 70 blocks take the block engine, whose 35-block
+        # ranges at 2 workers end in partial sections
+        params = pipeline.plan(127 * 70, 127 * 13 + 50, 127)
         x = rng.integers(0, 2, size=params.N, dtype=np.uint8)
         x[::127] = 0   # no block is all ones
         seed_bits = rng.integers(
@@ -193,6 +198,30 @@ def _selftest_suites():
         _check(np.array_equal(ntt.ntt_forward(v), spectrum),
                "clearing the cache did not restore the transform")
 
+    def shift_negative_control():
+        # a block-engine pass with one butterfly shift off by a bit must
+        # differ from plain ints, and clearing the cache must restore it
+        gamma, n, passes = 127, 40, 14
+        p = (1 << gamma) - 1
+        xs, coeffs = ([int.from_bytes(rng.bytes(16), "little") % p for _ in range(k)]
+                      for k in (n, n + passes - 1))
+        x, a = (bigint.Words.from_ints(v, gamma) for v in (xs, coeffs))
+        expected = [sum(v * coeffs[k + q] for k, v in enumerate(xs)) % p
+                    for q in range(passes)]
+        size = bigint.pass_engine(n, passes)
+        _check(size > 0, "the pass takes the block engine")
+
+        def sums():
+            return bigint.to_ints(bigint.pass_spectra(x, a.fill, passes), gamma)
+
+        _check(sums() == expected, "block-engine pass sums")
+        ntt._testing_corrupt_shift(size)
+        try:
+            _check(sums() != expected, "corruption went undetected")
+        finally:
+            ntt._testing_clear_cache()
+        _check(sums() == expected, "clearing the cache did not restore the pass sums")
+
     def weight_negative_control():
         # a corrupted digit weight must break a weighted ring product
         gamma = 521
@@ -217,9 +246,12 @@ def _selftest_suites():
         ("ntt round trip and naive cross-check", ntt_roundtrip),
         ("ring product vs schoolbook (gamma=521/4253/19937)", ring_product),
         ("distill vs naive oracle (gamma=7)", distill_equivalence),
-        ("distill at 2 workers equals 1 worker (gamma=127)", workers_equivalence),
+        ("distill at 2 workers equals 1 worker (gamma=127, block engine)",
+         workers_equivalence),
         ("universality census (gamma=3, n=2, m=2)", census),
         ("twiddle fault injection (negative control)", negative_control),
+        ("block butterfly shift fault injection (negative control)",
+         shift_negative_control),
         ("digit weight fault injection (negative control)", weight_negative_control),
     ]
 

@@ -1,0 +1,203 @@
+"""The two engines that sum a pass's spectral row products.
+
+``bigint.pass_spectra`` hands each step's key and seed spectra to one
+of them, as ``bigint.pass_engine`` picks.  ``mac`` is a
+multiply-accumulate over rows: every pass sums its own row products.
+``BlockSums`` computes all passes of a frequency bin at once by a short
+transform along the row axis.  Both return the same field elements.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import ntt
+from . import goldilocks as gl
+
+_U64 = np.uint64
+_M32 = _U64(0xFFFFFFFF)
+
+# values per block of the MAC
+_MAC_BLOCK = 1 << 16
+# most values in a row of a section stack of the block engine
+_STACK_WIDTH = 1 << 14
+
+
+def _sum_products(x: np.ndarray, a: np.ndarray, tmp: tuple,
+                  sums: np.ndarray, kernel_tmp: tuple) -> np.ndarray:
+    """sum over rows of x * a mod p, for fewer than 2^16 rows.
+
+    Each 128-bit product is four 64-bit partial products; their 32-bit
+    halves add up exactly in uint64 at bit offsets 0, 32, 64 and 96,
+    and each column is reduced once.  ``tmp`` is five arrays shaped
+    like x, ``sums`` four rows and ``kernel_tmp`` the field kernels'
+    temporaries, all as wide as x; every one is overwritten, and the
+    result is a row of ``sums``.
+    """
+    ll, hh, hl, t, lh = tmp
+    np.bitwise_and(x, _M32, out=ll)
+    np.right_shift(x, _U64(32), out=hh)
+    np.bitwise_and(a, _M32, out=hl)
+    np.right_shift(a, _U64(32), out=t)
+    np.multiply(ll, t, out=lh)
+    ll *= hl
+    hl *= hh
+    hh *= t
+    s0, s1, s2, s3 = sums
+    np.add.reduce(np.bitwise_and(ll, _M32, out=t), axis=0, out=s0)
+    ll >>= _U64(32)
+    ll += np.bitwise_and(lh, _M32, out=t)
+    ll += np.bitwise_and(hl, _M32, out=t)
+    np.add.reduce(ll, axis=0, out=s1)
+    lh >>= _U64(32)
+    hl >>= _U64(32)
+    lh += hl
+    lh += np.bitwise_and(hh, _M32, out=t)
+    np.add.reduce(lh, axis=0, out=s2)
+    hh >>= _U64(32)
+    np.add.reduce(hh, axis=0, out=s3)
+    # 2^64 = 2^32 - 1 and 2^96 = -1.  Every s_i < 2^50, so s1 + s2, s0 and
+    # s2 + s3 are below 2^51 and canonical operands for the field kernels
+    s1 += s2
+    s2 += s3
+    gl.v_shl(s1, 32, s1, kernel_tmp)
+    gl.v_add(s1, s0, s1, kernel_tmp)
+    return gl.v_sub(s1, s2, s1, kernel_tmp)
+
+
+def mac_scratch(size: int, cols: int) -> tuple:
+    """Temporaries for ``mac`` blocks of at most ``size`` values and ``cols`` columns."""
+    return np.empty((5, size), dtype=_U64), np.empty((4, cols), dtype=_U64), gl.scratch((cols,))
+
+
+def mac(x: np.ndarray, a: np.ndarray, out: np.ndarray, scratch: tuple | None = None) -> None:
+    """Add sum_k x[k] * a[k] mod p per column to ``out``, in cache-sized blocks.
+
+    The temporaries of every block are ``scratch`` (``mac_scratch``),
+    else one allocation per call.
+    """
+    n, length = x.shape
+    cols = min(length, max(256, _MAC_BLOCK // max(n, 1)))
+    rows = _MAC_BLOCK // cols
+    block_tmp, sums, kernel_tmp = scratch or mac_scratch(min(rows, n) * cols, cols)
+    for c in range(0, length, cols):
+        acc = out[c:c + cols]
+        width = len(acc)
+        narrow = tuple(t[:width] for t in kernel_tmp)
+        for r in range(0, n, rows):
+            xb, ab = x[r:r + rows, c:c + cols], a[r:r + rows, c:c + cols]
+            tmp = tuple(t[:xb.size].reshape(xb.shape) for t in block_tmp)
+            gl.v_add(acc, _sum_products(xb, ab, tmp, sums[:, :width], narrow),
+                     acc, narrow)
+
+
+class BlockSums:
+    """Pass sums by a length-B transform along the row axis: the block engine.
+
+    In one frequency bin the pass sums S_q = sum_j X_j * A_(j+q) are a
+    correlation along the row axis, which a short cyclic convolution
+    computes for many q at once (Agarwal and Cooley, IEEE Trans. ASSP
+    25(5), 1977).  Passes go in groups of G <= B/2 from offset q0, and
+    key rows in sections of T = B - G + 1.  A section's key rows,
+    reversed and padded with zeros to B rows, and its seed rows from
+    row q0 on are transformed along the row axis by ``ntt.shift_dft``,
+    whose twiddles are all shifts as 2 has order 192 in the field.
+    Rows T - 1 .. T + G - 2 of their cyclic convolution are the
+    section's share of S_q0 .. S_(q0+G-1), and no other row wraps into
+    them.  The products of every section go into one (B, L)
+    accumulator per group, one ``mac`` per block frequency over the
+    sections, and ``finish`` inverts each accumulator once.  The key
+    spectra arrive scaled by 1/B = 2^-log2(B), folded into their digit
+    weights (``weight``), so the inverse takes no scale.  Each sum is
+    the same field element the MAC computes, so the output bits do not
+    depend on the engine.
+
+    A step works on a block of columns at a time, every section's side
+    by side, and on half of the block frequencies at a time
+    (``ntt.half_inputs``), whose first stage reads the windows in place.
+    Its stack holds B/2 + 1 rows of the key columns followed by the
+    seed columns, transformed together, at most 2 * ``_STACK_WIDTH``
+    values a row.  The stack lives for the step only, and the
+    accumulators are made at the first step, so neither adds to the
+    transform temporaries of the first fills.
+    """
+
+    @staticmethod
+    def shape(size: int, passes: int) -> tuple[int, list]:
+        """(T, groups): key rows per section, and (q0, G) for each group of G passes."""
+        count = -(-passes // (size // 2))
+        group = -(-passes // count)
+        return size - group + 1, [(q, min(group, passes - q)) for q in range(0, passes, group)]
+
+    @staticmethod
+    def columns(length: int, sections: int) -> int:
+        """Columns of each section a stack row holds: a whole row if it fits."""
+        return max(1, min(length, _STACK_WIDTH // sections))
+
+    def __init__(self, size: int, passes: int, length: int, weight: tuple):
+        self.section, self.groups = self.shape(size, passes)
+        self.size, self.length, self.acc = size, length, None
+        full = weight[0] | weight[1] << _U64(32)
+        self.weight = gl.halves(gl.v_shl(full, -(size.bit_length() - 1)))
+
+    def add(self, keys: np.ndarray, seeds: np.ndarray) -> None:
+        """Add the products of key rows ``keys`` and seed rows ``seeds``.
+
+        ``keys`` holds whole sections, zero past the range; ``seeds``
+        holds the rows from the same start on, len(keys) + passes - 1 of
+        them, zero past the range.  Each half of the block frequencies
+        is transformed and multiplied in turn (``ntt.half_inputs``), so
+        the stack holds B/2 + 1 rows: the key columns, then the seed
+        columns, transformed together.
+        """
+        size, t, half = self.size, self.section, self.size // 2
+        if self.acc is None:  # after the first fills, whose transform temporaries are gone
+            self.acc = np.zeros((len(self.groups), size, self.length), dtype=_U64)
+        sections = len(keys) // t
+        cols = self.columns(self.length, sections)
+        buf = np.empty((half + 1, 2 * sections * cols), dtype=_U64)
+        tmp = gl.scratch((2 * sections * cols,))
+        mac_tmp = mac_scratch(sections * cols, cols)
+        for c in range(0, self.length, cols):
+            part = slice(c, c + cols)
+            shape = (sections, len(keys[0, part]))
+            n = shape[0] * shape[1]
+            stack = [row[:2 * n] for row in buf]
+            kstack = [row[:n].reshape(shape) for row in stack]
+            sstack = [row[n:].reshape(shape) for row in stack]
+            flat, shaped = (tuple(a[:2 * n] for a in tmp),
+                            tuple(a[:n].reshape(shape) for a in tmp))
+            # row i of section s's stack is key row s*T + T - 1 - i
+            krows = [keys[t - 1 - i::t, part] for i in range(t)]
+            for h in (0, 1):
+                ntt.half_inputs(krows, size, h, kstack, shaped)
+                for g, (q, count) in enumerate(self.groups):
+                    srows = [seeds[q + i::t, part][:sections] for i in range(t + count - 1)]
+                    ntt.half_inputs(srows, size, h, sstack, shaped)
+                    # the first group's seed columns are transformed with the
+                    # key columns, the others' alone
+                    if g == 0:
+                        rows = ntt.shift_dft(stack[:half], stack[half], False, flat)
+                        kf = [row[:n].reshape(shape) for row in rows]
+                        sf = [row[n:].reshape(shape) for row in rows]
+                    else:
+                        sf = ntt.shift_dft(sstack[:half], sstack[half], False, shaped)
+                    for f in range(half):
+                        mac(kf[f], sf[f], self.acc[g, h * half + f, part], mac_tmp)
+
+    def finish(self, out: np.ndarray) -> None:
+        """Invert each group's accumulator and add its passes to out[q0 ..]."""
+        size, t = self.size, self.section
+        rev = ntt.bit_reversal(size)
+        cols = self.columns(self.length, 1)
+        spare = np.empty(cols, dtype=_U64)
+        tmp = gl.scratch((cols,))
+        for g, (q, count) in enumerate(self.groups):
+            for c in range(0, self.length, cols):
+                part = slice(c, c + cols)
+                narrow = tuple(a[:len(out[0, part])] for a in tmp)
+                # the forward transforms leave frequency rev(f) in row f
+                rows = ntt.shift_dft([self.acc[g, rev[f], part] for f in range(size)],
+                                     spare[:len(narrow[0])], True, narrow)
+                for i in range(count):
+                    gl.v_add(out[q + i, part], rows[rev[t - 1 + i]], out[q + i, part], narrow)

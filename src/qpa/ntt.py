@@ -5,7 +5,10 @@ stage multiplies only by powers of w16 = 4096 = 2^12, realized as bit
 shifts modulo p; inter-stage twiddle factors come from cached tables of
 powers of the global root, stored once as the 32-bit halves that
 ``goldilocks.v_mul_halves`` takes.  Input and output are both in
-natural order.
+natural order.  The 16-point stages are ``shift_dft``, the one
+butterfly kernel: a radix-2 transform of any length B up to 64, whose
+twiddles 2^(192k/B) are all shifts as 2 has order 192, and which
+``bigint``'s block engine also runs along the row axis.
 
 A batch is transformed in chunks of 2^18 values with the batch axis
 innermost, the four-step layout of Bailey ("FFTs in external or
@@ -35,9 +38,6 @@ SUPPORTED_LENGTHS = (16, 256, 4096, 65536)
 
 _U64 = np.uint64
 
-# bit-reversed order for the 16-point butterfly
-_REV16 = np.array([0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15])
-
 # values per chunk when batching: 2 MB of uint64 with the batch axis
 # innermost, so every stage reads and writes rows of _PIECE values
 _CHUNK_ELEMS = 1 << 18
@@ -49,13 +49,22 @@ _CHUNK_ELEMS = 1 << 18
 # would be handed back to the system and faulted in again.
 _PIECE = _CHUNK_ELEMS // 16
 
+
+def bit_reversal(size: int) -> list[int]:
+    """rev(0) .. rev(size - 1): each index with its log2(size) bits reversed."""
+    bits = size.bit_length() - 1
+    return [int(f"{i:0{bits}b}"[::-1], 2) for i in range(size)]
+
+
+_REV16 = bit_reversal(16)
+
 _twiddle_cache: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _twiddle_table(length: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
     """Inter-stage twiddles w^(rev(p)*n) for p < 16, n < length/16.
 
-    Row p belongs to frequency rev(p): _dft16 leaves its output in
+    Row p belongs to frequency rev(p): shift_dft leaves its output in
     bit-reversed order.  The table is kept as its 32-bit halves, shaped
     (16, length/16, 1) so a row broadcasts over the batch axis.
     """
@@ -70,36 +79,85 @@ def _twiddle_table(length: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _dft16(y: np.ndarray, spare: np.ndarray, inverse: bool,
-           tmp: tuple) -> list[np.ndarray]:
-    """16-point transform along axis 0 of a (16, cols) array.
+_butterfly_cache: dict[tuple[int, bool], list[list]] = {}
 
-    Radix-2 decimation in frequency: natural-order input, bit-reversed
-    output.  Every twiddle is a power of w16 = 2^12, applied as a shift.
-    Each butterfly works on one pair of rows and writes its difference
-    to ``spare``; a butterfly with a unit twiddle then swaps that row
-    in instead of copying it back.  So the output rows, returned as a
-    list, are rows of y and ``spare``, all but one row of y's memory.
+
+def _butterflies(size: int, inverse: bool) -> list[list]:
+    """[r, r + h, flip, shift] for each butterfly of a size-point transform, in order.
+
+    Radix-2 decimation in frequency with w = 2^(192/size), a primitive
+    size-th root of unity as 2 has order 192.  Butterfly (r, r + h)
+    takes a, b to a + b and (a - b) * w^k, k = (r mod h) * size/(2h).
+    The inverse twiddle w^-k is -w^(size/2 - k), so for k > 0 it flips
+    the difference to b - a and shifts by (size/2 - k) * 192/size.
+    Every shift is below 96, and shift 0 is a unit twiddle.
+    """
+    key = (size, inverse)
+    table = _butterfly_cache.get(key)
+    if table is None:
+        unit, half = 192 // size, size // 2
+        table = []
+        h = half
+        while h:
+            for r in range(size):
+                if not r & h:
+                    k = (r % h) * (half // h)
+                    flip = inverse and k > 0
+                    table.append([r, r + h, flip, unit * (half - k if flip else k)])
+            h //= 2
+        _butterfly_cache[key] = table
+    return table
+
+
+def shift_dft(y, spare: np.ndarray, inverse: bool, tmp: tuple) -> list[np.ndarray]:
+    """size-point transform along axis 0 of ``y``, for size a power of two up to 64.
+
+    ``y`` is a (size, cols) array or a list of size arrays of one shape.
+    Natural-order input, bit-reversed output, no 1/size scale on the
+    inverse.  Every twiddle is a power of two, applied as a shift
+    (``_butterflies``).  Each butterfly works on one pair of rows and
+    writes its difference to ``spare``; a butterfly with a unit twiddle
+    then swaps that row in instead of copying it back.  So the output
+    rows, returned as a list, are rows of y and ``spare``, all but one
+    row of y's memory.
     """
     rows = list(y)
-    h = 8
-    while h:
-        for r in range(16):
-            if r & h:
-                continue
-            k = (r % h) * (8 // h)  # twiddle w16^k, or w16^-k = -w16^(8-k)
-            a, b = rows[r], rows[r + h]
-            if inverse and k:
-                gl.v_sub(b, a, spare, tmp)
-            else:
-                gl.v_sub(a, b, spare, tmp)
-            gl.v_add(a, b, a, tmp)
-            if k == 0:
-                rows[r + h], spare = spare, b
-            else:
-                gl.v_shl(spare, 12 * (8 - k) if inverse else 12 * k, b, tmp)
-        h //= 2
+    for r, s, flip, shift in _butterflies(len(rows), inverse):
+        a, b = rows[r], rows[s]
+        if flip:
+            gl.v_sub(b, a, spare, tmp)
+        else:
+            gl.v_sub(a, b, spare, tmp)
+        gl.v_add(a, b, a, tmp)
+        if shift == 0:
+            rows[s], spare = spare, b
+        else:
+            gl.v_shl(spare, shift, b, tmp)
     return rows
+
+
+def half_inputs(x: list, size: int, half: int, out: list, tmp: tuple) -> None:
+    """The inputs of half ``half`` of a forward size-point ``shift_dft``, in out[r].
+
+    The transform's first stage turns the rows (x_r, x_(r+size/2)) into
+    x_r + x_(r+size/2) and (x_r - x_(r+size/2)) * w^r.  The first of
+    each pair feeds a size/2-point ``shift_dft`` whose outputs are the
+    first half of the size-point outputs, and the second the other
+    half, so a caller can run the halves one after the other on
+    size/2 rows.  ``x`` holds the leading input rows, which are only
+    read; the rest are zero.
+    """
+    for r, s, _, shift in _butterflies(size, False)[:size // 2]:
+        row = out[r]
+        if r >= len(x):
+            row[...] = 0
+        elif s >= len(x):  # x_s is zero
+            gl.v_shl(x[r], shift * half, row, tmp)
+        elif half:
+            gl.v_sub(x[r], x[s], row, tmp)
+            gl.v_shl(row, shift, row, tmp)
+        else:
+            gl.v_add(x[r], x[s], row, tmp)
 
 
 def _transform(d: np.ndarray, spare: np.ndarray, row_spare: np.ndarray,
@@ -121,7 +179,7 @@ def _transform(d: np.ndarray, spare: np.ndarray, row_spare: np.ndarray,
         return d
     cols = length // 16
     flat = tuple(t[:cols * m] for t in tmp)
-    rows = _dft16(d.reshape(16, cols * m), row_spare[:cols * m], inverse, flat)
+    rows = shift_dft(d.reshape(16, cols * m), row_spare[:cols * m], inverse, flat)
     # every row is read into z below, so the next stage may reuse row_spare
     z = spare.reshape(cols, 16, m)
     lo, hi = _twiddle_table(length, inverse)
@@ -221,5 +279,12 @@ def _testing_corrupt_twiddle(length: int, inverse: bool = False) -> None:
     lo[1, 1] ^= _U64(1)
 
 
+def _testing_corrupt_shift(size: int) -> None:
+    """Shift one first-stage butterfly of the forward size-point transform
+    a bit too far (negative control for selftest)."""
+    _butterflies(size, False)[1][3] += 1
+
+
 def _testing_clear_cache() -> None:
     _twiddle_cache.clear()
+    _butterfly_cache.clear()

@@ -148,39 +148,61 @@ def test_criterion_3_universality_census():
            f"{w2} <= 49 (n=3,m=1) over 20 pairs each ({elapsed:.0f} s)")
 
 
-def test_criterion_4_end_to_end_oracle():
+def test_criterion_4_end_to_end_oracle(monkeypatch, tmp_path):
     start = time.perf_counter()
     rng = np.random.default_rng(4)
+    # each pass_spectra call, here or in a forked worker, appends its
+    # engine to this file: b"B" for the block engine, b"M" for the MAC
+    log = os.open(tmp_path / "engines", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    real_engine = bigint.pass_engine
+
+    def logged(rows, passes):
+        size = real_engine(rows, passes)
+        os.write(log, b"B" if size else b"M")
+        return size
+
+    monkeypatch.setattr(bigint, "pass_engine", logged)
     total = 0
-    for gamma in (7, 31, 127):
-        covered = {"lp0": False, "m0": False, "mixed": False}
-        for trial in range(100):
-            N = int(rng.integers(gamma, 50 * gamma + 1))
-            # force coverage of the degenerate shapes early on
-            if trial == 0:
-                N = (N // gamma + 1) * gamma
-                l = gamma * max(1, N // (2 * gamma))   # l' = 0
-            elif trial == 1:
-                l = int(rng.integers(1, gamma))        # m = 0
-            else:
-                l = int(rng.integers(1, N + 1))
-            params = pipeline.plan(N, l, gamma)
-            if params.l_prime == 0:
-                covered["lp0"] = True
-            elif params.m == 0:
-                covered["m0"] = True
-            else:
-                covered["mixed"] = True
-            x, seed = make_instance(rng, params)
-            fast = pipeline.distill(x, seed, params)
-            assert len(fast) == l
-            assert np.array_equal(fast, oracle.naive_distill(x, seed, params))
-            total += 1
-        assert all(covered.values()), covered
+    took = {}
+    try:
+        for gamma in (7, 31, 127):
+            covered = {"lp0": False, "m0": False, "mixed": False}
+            for trial in range(100):
+                # up to 100 blocks, so that 2-worker ranges reach the block engine
+                N = int(rng.integers(gamma, 100 * gamma + 1))
+                # force coverage of the degenerate shapes early on
+                if trial == 0:
+                    N = (N // gamma + 1) * gamma
+                    l = gamma * max(1, N // (2 * gamma))   # l' = 0
+                elif trial == 1:
+                    l = int(rng.integers(1, gamma))        # m = 0
+                else:
+                    l = int(rng.integers(1, N + 1))
+                params = pipeline.plan(N, l, gamma)
+                if params.l_prime == 0:
+                    covered["lp0"] = True
+                elif params.m == 0:
+                    covered["m0"] = True
+                else:
+                    covered["mixed"] = True
+                x, seed = make_instance(rng, params)
+                os.ftruncate(log, 0)
+                fast = pipeline.distill(x, seed, params)
+                took[gamma, trial] = set((tmp_path / "engines").read_bytes())
+                assert len(fast) == l
+                assert np.array_equal(fast, oracle.naive_distill(x, seed, params))
+                total += 1
+            assert all(covered.values()), covered
+            # both engines ran for this gamma
+            assert set().union(*(e for (g, _), e in took.items() if g == gamma)) == set(b"BM")
+    finally:
+        os.close(log)
+    block = sum(ord("B") in e for e in took.values())
     elapsed = time.perf_counter() - start
     report(4, total == 300 and elapsed < 300,
            f"{total} random instances bit-identical to the naive oracle, "
-           f"covering l'=0, m=0 and mixed shapes ({elapsed:.0f} s)")
+           f"covering l'=0, m=0 and mixed shapes, {block} of them on the "
+           f"block engine ({elapsed:.0f} s)")
 
 
 def test_criterion_5_full_scale_headline():

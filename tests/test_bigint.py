@@ -148,17 +148,28 @@ def test_rows_are_read_apart_from_their_neighbours(gamma):
             x * coeffs[k + offset] for k, x in enumerate(xs)) % p
 
 
-@pytest.mark.parametrize("gamma,n,passes", [
-    (127, 3, 7),       # more passes than rows
-    (4253, 130, 70),   # 64-row steps whose moved seed rows overlap
-])
-def test_pass_spectra_sums_each_shifted_range(gamma, n, passes):
+# gamma, rows, passes and the B of the engine pass_spectra takes (0: the MAC)
+PASS_PLANS = [
+    (127, 3, 7, 0),        # more passes than rows
+    (127, 20, 14, 0),      # too few rows for the block engine
+    (127, 40, 14, 32),     # sections of 19 rows: 19 + 19 + 2, then 19 + 19
+    (127, 60, 40, 64),     # two groups of 20 passes, sections of 45 rows
+    (127, 50, 48, 64),     # passes near the rows: two groups of 24
+    (4253, 130, 7, 0),     # steps of 44 rows
+    (4253, 130, 70, 64),   # steps of one 41-row section, whose moved seed rows overlap
+]
+
+
+@pytest.mark.parametrize("gamma,n,passes,size", [
+    pytest.param(*plan, id="-".join(map(str, plan[:3]))) for plan in PASS_PLANS])
+def test_pass_spectra_sums_each_shifted_range(gamma, n, passes, size):
     rng = np.random.default_rng(n)
     p = (1 << gamma) - 1
     xs = [int.from_bytes(rng.bytes(gamma // 8), "little") for _ in range(n)]
     coeffs = [int.from_bytes(rng.bytes(gamma // 8), "little")
               for _ in range(n + passes - 1)]
     x, a = bigint.Words.from_ints(xs, gamma), bigint.Words.from_ints(coeffs, gamma)
+    assert bigint.pass_engine(n, passes) == size
     for start, stop in ((0, n), (1, n - 1)):
         asked = []
 
@@ -270,6 +281,30 @@ def test_dot_checks_its_operands(monkeypatch):
     monkeypatch.setattr(bigint, "max_rows", lambda gamma: 1)
     with pytest.raises(TooManyBlocks):
         bigint.dot(x, x)
+
+
+def test_corrupt_block_shift_is_detected_and_cleared():
+    # a block-engine pass with one first-stage butterfly shifted a bit too
+    # far, as the selftest runs it
+    gamma, n, passes = 127, 40, 14
+    rng = np.random.default_rng(9)
+    p = (1 << gamma) - 1
+    xs = [int.from_bytes(rng.bytes(16), "little") % p for _ in range(n)]
+    coeffs = [int.from_bytes(rng.bytes(16), "little") % p for _ in range(n + passes - 1)]
+    x, a = bigint.Words.from_ints(xs, gamma), bigint.Words.from_ints(coeffs, gamma)
+    expected = [sum(v * coeffs[k + q] for k, v in enumerate(xs)) % p for q in range(passes)]
+
+    def sums():
+        return bigint.to_ints(bigint.pass_spectra(x, a.fill, passes), gamma)
+
+    assert bigint.pass_engine(n, passes) == 32
+    assert sums() == expected
+    ntt._testing_corrupt_shift(32)
+    try:
+        assert sums() != expected
+    finally:
+        ntt._testing_clear_cache()
+    assert sums() == expected
 
 
 def test_corrupt_weight_is_detected_and_cleared():

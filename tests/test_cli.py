@@ -23,9 +23,19 @@ def test_plan_output(capsys):
     assert "m         = 13" in out
     assert "l_prime   = 161093" in out
     assert "seed bits = 112012172" in out
-    # 16 key rows, 16 + 13 seed rows and 14 pass rows of 65536 values
+    # 14 passes over 133 rows take the block engine: a section of 19 key
+    # rows, 19 + 13 seed rows, 14 pass rows and a (32, L) accumulator of
+    # 65536 values, and a stack of 17 rows of the key and seed columns,
+    # twice 16384 values
     assert "L         = 65536" in out
-    assert f"spectra   = {59 * 65536 * 8} bytes per process" in out
+    assert "engine    = block, B = 32" in out
+    assert f"spectra   = {97 * 65536 * 8 + 17 * 2 * 16384 * 8} bytes per process" in out
+    # one pass over 40 rows takes the MAC: 16 key rows, 16 seed rows and
+    # the pass row
+    assert run(["plan", "--in-bits", 40 * 756839, "--out-bits", 100]) == 0
+    out = capsys.readouterr().out
+    assert "engine    = MAC" in out
+    assert f"spectra   = {33 * 65536 * 8} bytes per process" in out
 
 
 def test_plan_ratio_one_warns(capsys):

@@ -191,8 +191,12 @@ def test_worker_count_does_not_change_output(monkeypatch, tmp_path, deadline):
         monkeypatch.setattr(ntt, attr, logged)
     rng = np.random.default_rng(5)
     try:
-        for l in (127 * 3 + 50, 127 * 3, 50):   # mixed, l' = 0, m = 0
-            params = pipeline.plan(127 * 30, l, 127)
+        # mixed, l' = 0, m = 0, then 14 passes over 70 rows: the block
+        # engine at 1 worker and in 35-row ranges of two sections, 19 rows
+        # and a partial one, at 2; the MAC in 23-row ranges at 3
+        for N, l in ((127 * 30, 127 * 3 + 50), (127 * 30, 127 * 3), (127 * 30, 50),
+                     (127 * 70, 127 * 13 + 50)):
+            params = pipeline.plan(N, l, 127)
             x, _ = random_instance(rng, params)
             seed_bits = rng.integers(0, 2, size=pipeline.required_seed_bits(params),
                                      dtype=np.uint8)
@@ -258,25 +262,31 @@ def test_one_share_forks_and_maps_nothing(monkeypatch):
 
 
 def test_working_set_does_not_grow_with_the_blocks():
-    # the traced peak covers numpy buffers; from 64 blocks, a full step
-    # of key rows at L = 4096, 4n blocks add no spectra to it
+    # the traced peak covers numpy buffers; from a full step of key rows,
+    # 4n blocks add no spectra to it
     gamma = 19937
     length = bigint.transform_shape(gamma)[0]
     assert bigint.step_rows(length) == 64
     rng = np.random.default_rng(19)
-    peaks = []
-    for n in (64, 256):
-        params = pipeline.plan(gamma * n, gamma * 2 + 100, gamma)
-        blocks = pipeline.split_and_pad(rng.bytes(-(-params.N // 8)), params.mersenne)
-        seed = pipeline.seed_from_bits(
-            rng.bytes(-(-pipeline.required_seed_bits(params) // 8)), params)
-        tracemalloc.start()
-        try:
-            pipeline.distill_blocks(blocks, seed, params, workers=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 8 * length * 8, peaks
+    for m, n, size in ((2, 64, 0),      # the MAC: a step is 64 key rows at L = 4096
+                       (13, 57, 32)):   # the block engine: three 19-row sections
+        assert bigint.pass_engine(n, m + 1) == bigint.pass_engine(4 * n, m + 1) == size
+        assert (bigint.working_set(length, n, m + 1)
+                == bigint.working_set(length, 4 * n, m + 1))
+        peaks = []
+        for rows in (n, 4 * n):
+            params = pipeline.plan(gamma * rows, gamma * m + 100, gamma)
+            blocks = pipeline.split_and_pad(rng.bytes(-(-params.N // 8)), params.mersenne,
+                                            nbits=params.N)
+            seed = pipeline.seed_from_bits(
+                rng.bytes(-(-pipeline.required_seed_bits(params) // 8)), params)
+            tracemalloc.start()
+            try:
+                pipeline.distill_blocks(blocks, seed, params, workers=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * length * 8, (m, peaks)
 
 
 def test_share_count_is_capped_by_the_rows(monkeypatch):
@@ -415,10 +425,14 @@ def test_pass_and_multiplication_counts(monkeypatch):
     counting(ntt, "ntt_inverse", rows)
     counting(bigint, "mul_ntt", lambda _: 1)
     rng = np.random.default_rng(6)
-    shapes = {(False, 2): 127 * 2, (True, 0): 100, (True, 2): 127 * 2 + 5}
-    for (has_tail, m), l in shapes.items():
-        params = pipeline.plan(127 * 10, l, 127)
+    # l' = 0, m = 0 and mixed on the MAC, then mixed on the block engine,
+    # whose row-axis transforms are not transforms of length L
+    shapes = {(False, 2, 10): 127 * 2, (True, 0, 10): 100, (True, 2, 10): 127 * 2 + 5,
+              (True, 13, 40): 127 * 13 + 5}
+    for (has_tail, m, n), l in shapes.items():
+        params = pipeline.plan(127 * n, l, 127)
         assert (params.l_prime > 0, params.m) == (has_tail, m)
+        assert bool(bigint.pass_engine(n, params.pass_count)) == (m == 13)
         x, _ = random_instance(rng, params)
         seed_bits = rng.integers(0, 2, size=pipeline.required_seed_bits(params),
                                  dtype=np.uint8)
