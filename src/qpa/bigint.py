@@ -27,12 +27,8 @@ transformed in place.  ``pass_spectra`` computes the spectra of P
 shifted row sums, the correlation of the key rows with the seed rows,
 in steps of a fixed number of key rows (Stockham's sectioned
 convolution, AFIPS SJCC 28, 1966), so its memory does not grow with
-the number of rows.  One of the two ``engines`` sums a step's
-products, as ``pass_engine`` picks from the row and pass counts: the
-MAC adds each pass's row products to its own spectrum row, and the
-block engine, for many passes over many rows, computes a bin's P sums
-at once by a short transform along the row axis, whose twiddles are
-all shifts (``ntt.shift_dft``).  Both give the same field elements.
+the number of rows.  It keeps the windows, the fills and the seed-row
+moves; the range's ``engines.engine`` sums each step's products.
 ``to_ints`` runs one inverse transform per sum and folds it to its
 canonical residue in [0, 2^gamma - 2], so no caller reduces, and
 ``dot`` is the one-pass case.
@@ -63,12 +59,6 @@ _M32 = _U64(0xFFFFFFFF)
 _DIGIT_BITS = 12
 MAX_GAMMA = _DIGIT_BITS * ntt.SUPPORTED_LENGTHS[-1]  # 786432
 
-# block lengths of the block engine, and where it takes over from the
-# MAC (``pass_engine``)
-_BLOCK_SIZES = (16, 32, 64)
-_BLOCK_PASSES = 8
-_BLOCK_ROWS = 32
-_BLOCK_PRODUCTS = 400
 # words of realigned rows the all-ones test holds at once
 _TEST_WORDS = 1 << 16
 
@@ -138,9 +128,8 @@ def _layout(gamma: int) -> _Layout:
     return lay
 
 
-def _weighted_digits(words: np.ndarray, lay: _Layout, out: np.ndarray,
-                     weight: tuple) -> None:
-    """Write the digits of each row of ``words``, times ``weight``, to its row of ``out``.
+def _weighted_digits(words: np.ndarray, lay: _Layout, out: np.ndarray) -> None:
+    """Write the weighted digits of each row of ``words`` to its row of ``out``.
 
     ``words`` holds rows realigned to bit 0, ``Words._rows``, at least
     gamma // 64 + 2 words wide, so word e_j // 64 + 1 exists for every
@@ -156,7 +145,7 @@ def _weighted_digits(words: np.ndarray, lay: _Layout, out: np.ndarray,
     t = tmp[0]
     next_word = np.empty(cols, dtype=np.int64)
     rest = np.empty(cols, dtype=_U64)
-    w0, w1 = weight
+    w0, w1 = lay.weight
     for c in range(0, lay.length, cols):
         part = slice(c, c + cols)
         np.take(words, lay.word[part], axis=1, out=digits)
@@ -218,7 +207,9 @@ class Words:
 
     def __getitem__(self, rows: slice) -> "Words":
         """Rows ``rows``, a slice of step 1, as a view on the same stream."""
-        start, stop, _ = rows.indices(self._count)
+        start, stop, step = rows.indices(self._count)
+        if step != 1:
+            raise ValueError(f"row slices take step 1, not {step}")
         view = copy.copy(self)
         view._first, view._count = self._first + start, max(stop - start, 0)
         return view
@@ -266,19 +257,17 @@ class Words:
         return [int.from_bytes(row.tobytes(), "little") & mask
                 for row in self._rows(range(self._count))]
 
-    def fill(self, rows, out: np.ndarray, weight: tuple | None = None) -> None:
+    def fill(self, rows, out: np.ndarray) -> None:
         """Write the weighted forward spectrum of row ``rows[i]`` to ``out[i]``.
 
         A transform batch at a time: the weighted digits go straight to
         the rows of ``out``, which are then transformed in place.
-        ``weight`` replaces the layout's digit weights, as 32-bit halves.
         """
         lay = _layout(self.gamma)
         batch = ntt.batch_rows(lay.length)
         for k in range(0, len(rows), batch):
             spectra = out[k:k + batch]
-            _weighted_digits(self._rows(rows[k:k + batch]), lay, spectra,
-                             weight or lay.weight)
+            _weighted_digits(self._rows(rows[k:k + batch]), lay, spectra)
             # through the module attribute, so row counters see every row
             ntt.ntt_forward(spectra, out=spectra)
 
@@ -301,69 +290,34 @@ def _int_from_coefficients(coeffs: np.ndarray, lay: _Layout) -> int:
     return total
 
 
-def step_rows(length: int) -> int:
-    """Most key rows ``pass_spectra`` adds per step at transform length ``length``."""
-    return max(ntt.batch_rows(length), 16)
+def _steps(section: int, rows: int, length: int) -> tuple[int, int]:
+    """(S, K): the key rows per step and in the window, for sections of ``section`` rows.
 
-
-def pass_engine(rows: int, passes: int) -> int:
-    """The block length B ``pass_spectra`` sums ``passes`` passes over ``rows`` key rows with.
-
-    0 means the MAC: each pass sums its own row products, rows * passes
-    of them.  The block engine (``engines.BlockSums``) spends two length-B
-    transforms along the row axis and B products on each section of
-    T = B - G + 1 key rows, G <= B/2 passes at a time, and inverts one
-    (B, L) accumulator per group at the end.  So it pays once there are
-    enough passes to share its transforms and enough rows to share its
-    inverse: from ``_BLOCK_PASSES`` passes and max(``_BLOCK_ROWS``,
-    ``_BLOCK_PRODUCTS`` // passes) rows.  Whole ``pass_spectra`` calls
-    on a 2-CPU x86 VM at L = 4096, MAC against block: 20 rows and 14
-    passes 49 / 55 ms, 30 and 14 65 / 64 ms, 67 and 14 107 / 93 ms,
-    24 rows and 20 passes 48 / 57 ms.  B is the shortest of
-    ``_BLOCK_SIZES`` that takes every pass in one group, else the
-    longest.
+    A step holds up to a transform batch, or 16 rows.  Steps are of
+    nearly equal size in whole sections, as a small transform batch
+    costs more per row, and in whole batches where a step holds several
+    and a section is smaller.  The window holds a step, or less.
     """
-    if passes < _BLOCK_PASSES or rows < max(_BLOCK_ROWS, _BLOCK_PRODUCTS // passes):
-        return 0
-    return next((size for size in _BLOCK_SIZES if 2 * passes <= size), _BLOCK_SIZES[-1])
-
-
-def _steps(rows: int, length: int, passes: int) -> tuple[int, int, int, int]:
-    """(B, T, S, K): the engine, its key rows per section, the key rows per
-    step and the rows of the key window.
-
-    Steps are of nearly equal size in whole sections (T = 1 for the
-    MAC), as a small transform batch costs more per row, and in whole
-    batches where a MAC step holds several.  The window holds a step,
-    or the whole range in whole sections if that is less.
-    """
-    size = pass_engine(rows, passes)
-    section = engines.BlockSums.shape(size, passes)[0] if size else 1
-    batch, step = ntt.batch_rows(length), step_rows(length)
+    batch = ntt.batch_rows(length)
+    step = max(batch, 16)
     total = -(-rows // section)
     steps = max(1, -(-total // max(1, step // section)))
     keys = max(1, -(-total // steps)) * section
-    if batch < step and not size:
+    if section < batch < step:
         keys = -(-keys // batch) * batch
-    return size, section, keys, -(-min(keys, max(rows, 1)) // section) * section
+    return keys, -(-min(keys, max(rows, 1)) // section) * section
 
 
 def working_set(length: int, rows: int, passes: int) -> int:
-    """Bytes of spectra and section buffers ``pass_spectra`` holds for ``rows`` key rows.
+    """Bytes of spectra and engine buffers ``pass_spectra`` holds for ``rows`` key rows.
 
-    The key and seed windows hold K rows and K + passes - 1 rows, and
-    the output ``passes`` rows; the block engine adds its accumulators
-    and a step's section buffers.  None of them grows with ``rows``
-    once it passes a step.
+    The key and seed windows hold K rows and K + passes - 1 rows, the
+    output ``passes`` rows, and the engine its ``buffer_bytes``, kernel
+    temporaries not counted.  None grows with ``rows`` past a step.
     """
-    size, section, _, keys = _steps(rows, length, passes)
-    values = (2 * keys + 2 * passes - 1) * length
-    if size:
-        groups = len(engines.BlockSums.shape(size, passes)[1])
-        sections = keys // section
-        width = sections * engines.BlockSums.columns(length, sections)
-        values += groups * size * length + (size + 2) * width
-    return 8 * values
+    engine = engines.engine(rows, passes, length)
+    window = _steps(engine.section, rows, length)[1]
+    return 8 * (2 * window + 2 * passes - 1) * length + engine.buffer_bytes(window)
 
 
 def pass_spectra(x: Words, seed_fill, passes: int, start: int = 0,
@@ -376,25 +330,19 @@ def pass_spectra(x: Words, seed_fill, passes: int, start: int = 0,
     asked for the rows start .. stop + passes - 2, each once.  The key
     rows go in steps (``_steps``) into a window of as many rows, and the
     seed rows a step newly needs into a window of passes - 1 more, whose
-    rows the next step still needs move to its front.  Each step's
-    products go to the engine ``pass_engine`` picks: the MAC adds them
-    to ``out`` pass by pass, the block engine to its accumulators.
-    Every step reuses the windows, so the memory held comes to
-    ``working_set`` bytes, which does not grow with the row count.
+    rows the next step still needs move to its front.  The range's
+    engine (``engines.engine``) adds each step's products to ``out`` by
+    the time it finishes.  Every step reuses the windows, so the memory
+    held comes to ``working_set`` bytes, whatever the row count.
     """
-    lay = _layout(x.gamma)
-    length = lay.length
+    length = transform_shape(x.gamma)[0]
     stop = len(x) if stop is None else stop
-    size, _, step, window = _steps(stop - start, length, passes)
+    engine = engines.engine(stop - start, passes, length)
+    step, window = _steps(engine.section, stop - start, length)
     if out is None:
         out = np.zeros((passes, length), dtype=_U64)
     keys = np.empty((window, length), dtype=_U64)
     seeds = np.empty((window + passes - 1, length), dtype=_U64)
-    if size:
-        engine = engines.BlockSums(size, passes, length, lay.weight)
-        weight = engine.weight
-    else:
-        weight = None
     have = start  # one past the last seed row in the window
     for s in range(start, stop, step):
         k = min(step, stop - s)
@@ -402,16 +350,9 @@ def pass_spectra(x: Words, seed_fill, passes: int, start: int = 0,
             seeds[r] = seeds[step + r]
         seed_fill(range(have, s + k + passes - 1), seeds[have - s:k + passes - 1])
         have = s + k + passes - 1
-        x.fill(range(s, s + k), keys[:k], weight)
-        if size:
-            keys[k:] = 0
-            seeds[k + passes - 1:] = 0
-            engine.add(keys, seeds)
-        else:
-            for q in range(passes):
-                engines.mac(keys[:k], seeds[q:q + k], out[q])
-    if size:
-        engine.finish(out)
+        x.fill(range(s, s + k), keys[:k])
+        engine.add(keys, seeds, k, out)
+    engine.finish(out)
     return out
 
 
@@ -437,6 +378,8 @@ def dot(x: Words, a: Words, offset: int = 0) -> int:
     n = len(x)
     if x.gamma != a.gamma:
         raise ValueError(f"gamma {x.gamma} and {a.gamma} differ")
+    if offset < 0:
+        raise ValueError(f"offset {offset} is negative")
     if len(a) < n + offset:
         raise ValueError(f"rows {offset}..{offset + n - 1} requested, "
                          f"only {len(a)} present")

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import bitio, bigint, goldilocks, mersenne, ntt, oracle, pipeline
+from . import bitio, bigint, engines, goldilocks, mersenne, ntt, oracle, pipeline
 from .errors import AllOnesBlock, LengthMismatch, QpaError, WorkerFailed
 
 EXIT_OK = 0
@@ -45,10 +45,11 @@ def cmd_plan(args) -> int:
     print(f"seed bits = {pipeline.required_seed_bits(params)}")
     length = bigint.transform_shape(params.gamma)[0]
     print(f"L         = {length}")
-    size = bigint.pass_engine(params.n, params.pass_count)
-    print(f"engine    = {f'block, B = {size}' if size else 'MAC'}")
+    # a run at W workers picks its engine per range of about n / W blocks
+    size = engines.block_size(params.n, params.pass_count)
+    print(f"engine    = {f'block, B = {size}' if size else 'MAC'} in one process")
     spectra = bigint.working_set(length, params.n, params.pass_count)
-    print(f"spectra   = {spectra} bytes per process")
+    print(f"spectra   = {spectra} bytes in one process")
     print(f"ratio     = {params.ratio}")
     if params.l == params.N:
         print("warning: ratio 1.0 performs no compression", file=sys.stderr)
@@ -208,7 +209,7 @@ def _selftest_suites():
         x, a = (bigint.Words.from_ints(v, gamma) for v in (xs, coeffs))
         expected = [sum(v * coeffs[k + q] for k, v in enumerate(xs)) % p
                     for q in range(passes)]
-        size = bigint.pass_engine(n, passes)
+        size = engines.block_size(n, passes)
         _check(size > 0, "the pass takes the block engine")
 
         def sums():

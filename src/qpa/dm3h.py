@@ -36,8 +36,10 @@ def split_and_pad(X, params: MersenneParams, all_ones_policy: str = "error",
     ``nbits`` bits (default: all) are the key.  Under the default policy
     any all-ones raw block raises AllOnesBlock with its 1-based indices;
     policy "zero" substitutes zero blocks and logs a security warning
-    (the caller opted out of the rejection rule).
+    (the caller opted out of the rejection rule); any other raises ValueError.
     """
+    if all_ones_policy not in ("error", "zero"):
+        raise ValueError(f"all-ones policy {all_ones_policy!r} is not 'error' or 'zero'")
     if nbits is None:
         nbits = bitio.bit_count(X)
     if nbits < 1:
@@ -46,7 +48,7 @@ def split_and_pad(X, params: MersenneParams, all_ones_policy: str = "error",
     # only a full-width block can equal p; padding zeros keep the rest below
     bad = [j + 1 for j in blocks.zero_all_ones()]
     if bad:
-        if all_ones_policy != "zero":
+        if all_ones_policy == "error":
             raise AllOnesBlock(bad)
         logger.warning(
             "substituting zero for all-ones blocks %s; the universality "

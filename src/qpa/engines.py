@@ -1,10 +1,13 @@
-"""The two engines that sum a pass's spectral row products.
+"""The two engines that sum a pass's spectral row products, and the choice.
 
-``bigint.pass_spectra`` hands each step's key and seed spectra to one
-of them, as ``bigint.pass_engine`` picks.  ``mac`` is a
-multiply-accumulate over rows: every pass sums its own row products.
-``BlockSums`` computes all passes of a frequency bin at once by a short
-transform along the row axis.  Both return the same field elements.
+``bigint.pass_spectra`` hands each step's key and seed windows to the
+engine ``engine`` builds, as ``block_size`` picks, through the same
+``add`` and ``finish`` calls.  ``Mac`` is a multiply-accumulate over
+rows: every pass sums its own row products.  ``BlockSums`` computes all
+passes of a frequency bin at once by a short transform along the row
+axis.  Each owns its rows per section, its buffers (``buffer_bytes``),
+the zero padding of a short step and any scale.  Both return the same
+field elements.
 """
 
 from __future__ import annotations
@@ -21,6 +24,40 @@ _M32 = _U64(0xFFFFFFFF)
 _MAC_BLOCK = 1 << 16
 # most values in a row of a section stack of the block engine
 _STACK_WIDTH = 1 << 14
+# block lengths of the block engine, and where it takes over from the
+# MAC (``block_size``)
+_BLOCK_SIZES = (16, 32, 64)
+_BLOCK_PASSES = 8
+_BLOCK_ROWS = 32
+_BLOCK_PRODUCTS = 400
+
+
+def block_size(rows: int, passes: int) -> int:
+    """The block length B ``passes`` passes over ``rows`` key rows are summed with.
+
+    0 means the MAC: each pass sums its own row products, rows * passes
+    of them.  The block engine (``BlockSums``) spends two length-B
+    transforms along the row axis and B products on each section of
+    T = B - G + 1 key rows, G <= B/2 passes at a time, and inverts one
+    (B, L) accumulator per group at the end.  So it pays once there are
+    enough passes to share its transforms and enough rows to share its
+    inverse: from ``_BLOCK_PASSES`` passes and max(``_BLOCK_ROWS``,
+    ``_BLOCK_PRODUCTS`` // passes) rows.  Whole ``pass_spectra`` calls
+    on a 2-CPU x86 VM at L = 4096, MAC against block: 20 rows and 14
+    passes 49 / 55 ms, 30 and 14 65 / 64 ms, 67 and 14 107 / 93 ms,
+    24 rows and 20 passes 48 / 57 ms.  B is the shortest of
+    ``_BLOCK_SIZES`` that takes every pass in one group, else the
+    longest.
+    """
+    if passes < _BLOCK_PASSES or rows < max(_BLOCK_ROWS, _BLOCK_PRODUCTS // passes):
+        return 0
+    return next((size for size in _BLOCK_SIZES if 2 * passes <= size), _BLOCK_SIZES[-1])
+
+
+def engine(rows: int, passes: int, length: int) -> "Mac | BlockSums":
+    """The engine ``block_size`` picks, for spectra of ``length`` values."""
+    size = block_size(rows, passes)
+    return BlockSums(size, passes, length) if size else Mac()
 
 
 def _sum_products(x: np.ndarray, a: np.ndarray, tmp: tuple,
@@ -65,30 +102,46 @@ def _sum_products(x: np.ndarray, a: np.ndarray, tmp: tuple,
     return gl.v_sub(s1, s2, s1, kernel_tmp)
 
 
-def mac_scratch(size: int, cols: int) -> tuple:
-    """Temporaries for ``mac`` blocks of at most ``size`` values and ``cols`` columns."""
+def mac_scratch(rows: int, length: int) -> tuple:
+    """Temporaries, which set the block, for ``mac`` on up to ``rows`` rows of ``length``."""
+    cols = min(length, max(256, _MAC_BLOCK // max(rows, 1)))
+    size = min(rows, _MAC_BLOCK // cols) * cols
     return np.empty((5, size), dtype=_U64), np.empty((4, cols), dtype=_U64), gl.scratch((cols,))
 
 
-def mac(x: np.ndarray, a: np.ndarray, out: np.ndarray, scratch: tuple | None = None) -> None:
-    """Add sum_k x[k] * a[k] mod p per column to ``out``, in cache-sized blocks.
-
-    The temporaries of every block are ``scratch`` (``mac_scratch``),
-    else one allocation per call.
-    """
-    n, length = x.shape
-    cols = min(length, max(256, _MAC_BLOCK // max(n, 1)))
+def mac(x: np.ndarray, a: np.ndarray, out: np.ndarray, scratch: tuple) -> None:
+    """Add sum_k x[k] * a[k] mod p per column to ``out``, a ``scratch`` block at a time."""
+    block_tmp, sums, kernel_tmp = scratch
+    cols = sums.shape[1]
     rows = _MAC_BLOCK // cols
-    block_tmp, sums, kernel_tmp = scratch or mac_scratch(min(rows, n) * cols, cols)
-    for c in range(0, length, cols):
+    for c in range(0, x.shape[1], cols):
         acc = out[c:c + cols]
         width = len(acc)
         narrow = tuple(t[:width] for t in kernel_tmp)
-        for r in range(0, n, rows):
+        for r in range(0, len(x), rows):
             xb, ab = x[r:r + rows, c:c + cols], a[r:r + rows, c:c + cols]
             tmp = tuple(t[:xb.size].reshape(xb.shape) for t in block_tmp)
             gl.v_add(acc, _sum_products(xb, ab, tmp, sums[:, :width], narrow),
                      acc, narrow)
+
+
+class Mac:
+    """Each pass adds its own row products to its spectrum row: the MAC engine."""
+
+    section = 1
+
+    def buffer_bytes(self, keys: int) -> int:
+        return 0
+
+    def add(self, keys: np.ndarray, seeds: np.ndarray, rows: int, out: np.ndarray) -> None:
+        """Add the products of keys[:rows] and seeds[q:q + rows] to out[q] for each pass q."""
+        # made per step, so that the next step's fills run without them
+        scratch = mac_scratch(rows, keys.shape[1])
+        for q in range(len(out)):
+            mac(keys[:rows], seeds[q:q + rows], out[q], scratch)
+
+    def finish(self, out: np.ndarray) -> None:
+        """Nothing is left to add: ``add`` wrote every product to ``out``."""
 
 
 class BlockSums:
@@ -106,58 +159,54 @@ class BlockSums:
     section's share of S_q0 .. S_(q0+G-1), and no other row wraps into
     them.  The products of every section go into one (B, L)
     accumulator per group, one ``mac`` per block frequency over the
-    sections, and ``finish`` inverts each accumulator once.  The key
-    spectra arrive scaled by 1/B = 2^-log2(B), folded into their digit
-    weights (``weight``), so the inverse takes no scale.  Each sum is
-    the same field element the MAC computes, so the output bits do not
+    sections, and ``finish`` inverts each accumulator once and scales
+    the rows it keeps by 1/B = 2^-log2(B), a shift.  Each sum is the
+    same field element the MAC computes, so the output bits do not
     depend on the engine.
 
     A step works on a block of columns at a time, every section's side
     by side, and on half of the block frequencies at a time
     (``ntt.half_inputs``), whose first stage reads the windows in place.
-    Its stack holds B/2 + 1 rows of the key columns followed by the
-    seed columns, transformed together, at most 2 * ``_STACK_WIDTH``
-    values a row.  The stack lives for the step only, and the
-    accumulators are made at the first step, so neither adds to the
-    transform temporaries of the first fills.
+    Its stack holds B/2 + 1 rows of the key columns, then the seed
+    columns, at most 2 * ``_STACK_WIDTH`` values a row, for the step
+    only; the accumulators are made at the first step, after the first
+    fills' transform temporaries are gone.
     """
 
-    @staticmethod
-    def shape(size: int, passes: int) -> tuple[int, list]:
-        """(T, groups): key rows per section, and (q0, G) for each group of G passes."""
+    def __init__(self, size: int, passes: int, length: int):
         count = -(-passes // (size // 2))
         group = -(-passes // count)
-        return size - group + 1, [(q, min(group, passes - q)) for q in range(0, passes, group)]
+        self.section = size - group + 1
+        # (q0, G) for each group of G passes
+        self.groups = [(q, min(group, passes - q)) for q in range(0, passes, group)]
+        self.size, self.passes, self.length, self.acc = size, passes, length, None
 
-    @staticmethod
-    def columns(length: int, sections: int) -> int:
+    def _columns(self, sections: int) -> int:
         """Columns of each section a stack row holds: a whole row if it fits."""
-        return max(1, min(length, _STACK_WIDTH // sections))
+        return max(1, min(self.length, _STACK_WIDTH // sections))
 
-    def __init__(self, size: int, passes: int, length: int, weight: tuple):
-        self.section, self.groups = self.shape(size, passes)
-        self.size, self.length, self.acc = size, length, None
-        full = weight[0] | weight[1] << _U64(32)
-        self.weight = gl.halves(gl.v_shl(full, -(size.bit_length() - 1)))
+    def buffer_bytes(self, keys: int) -> int:
+        """Bytes of the accumulators and a step's stack for a window of ``keys`` key rows."""
+        sections = keys // self.section
+        width = sections * self._columns(sections)
+        return 8 * (len(self.groups) * self.size * self.length + (self.size + 2) * width)
 
-    def add(self, keys: np.ndarray, seeds: np.ndarray) -> None:
-        """Add the products of key rows ``keys`` and seed rows ``seeds``.
+    def add(self, keys: np.ndarray, seeds: np.ndarray, rows: int, out: np.ndarray) -> None:
+        """Add the products of keys[:rows] and seeds[:rows + passes - 1] to out by ``finish``.
 
-        ``keys`` holds whole sections, zero past the range; ``seeds``
-        holds the rows from the same start on, len(keys) + passes - 1 of
-        them, zero past the range.  Each half of the block frequencies
-        is transformed and multiplied in turn (``ntt.half_inputs``), so
-        the stack holds B/2 + 1 rows: the key columns, then the seed
-        columns, transformed together.
+        ``keys`` holds whole sections and ``seeds`` passes - 1 rows more;
+        the rest of each is set to zero.
         """
+        keys[rows:] = 0
+        seeds[rows + self.passes - 1:] = 0
         size, t, half = self.size, self.section, self.size // 2
-        if self.acc is None:  # after the first fills, whose transform temporaries are gone
+        if self.acc is None:
             self.acc = np.zeros((len(self.groups), size, self.length), dtype=_U64)
         sections = len(keys) // t
-        cols = self.columns(self.length, sections)
+        cols = self._columns(sections)
         buf = np.empty((half + 1, 2 * sections * cols), dtype=_U64)
         tmp = gl.scratch((2 * sections * cols,))
-        mac_tmp = mac_scratch(sections * cols, cols)
+        mac_tmp = mac_scratch(sections, cols)
         for c in range(0, self.length, cols):
             part = slice(c, c + cols)
             shape = (sections, len(keys[0, part]))
@@ -177,19 +226,20 @@ class BlockSums:
                     # the first group's seed columns are transformed with the
                     # key columns, the others' alone
                     if g == 0:
-                        rows = ntt.shift_dft(stack[:half], stack[half], False, flat)
-                        kf = [row[:n].reshape(shape) for row in rows]
-                        sf = [row[n:].reshape(shape) for row in rows]
+                        both = ntt.shift_dft(stack[:half], stack[half], False, flat)
+                        kf = [row[:n].reshape(shape) for row in both]
+                        sf = [row[n:].reshape(shape) for row in both]
                     else:
                         sf = ntt.shift_dft(sstack[:half], sstack[half], False, shaped)
                     for f in range(half):
                         mac(kf[f], sf[f], self.acc[g, h * half + f, part], mac_tmp)
 
     def finish(self, out: np.ndarray) -> None:
-        """Invert each group's accumulator and add its passes to out[q0 ..]."""
+        """Invert each group's accumulator and add its passes, scaled by 1/B, to out[q0 ..]."""
         size, t = self.size, self.section
         rev = ntt.bit_reversal(size)
-        cols = self.columns(self.length, 1)
+        shift = 1 - size.bit_length()  # -log2(B)
+        cols = self._columns(1)
         spare = np.empty(cols, dtype=_U64)
         tmp = gl.scratch((cols,))
         for g, (q, count) in enumerate(self.groups):
@@ -200,4 +250,6 @@ class BlockSums:
                 rows = ntt.shift_dft([self.acc[g, rev[f], part] for f in range(size)],
                                      spare[:len(narrow[0])], True, narrow)
                 for i in range(count):
-                    gl.v_add(out[q + i, part], rows[rev[t - 1 + i]], out[q + i, part], narrow)
+                    row = rows[rev[t - 1 + i]]
+                    gl.v_shl(row, shift, row, narrow)
+                    gl.v_add(out[q + i, part], row, out[q + i, part], narrow)

@@ -8,7 +8,7 @@ powers of the global root, stored once as the 32-bit halves that
 natural order.  The 16-point stages are ``shift_dft``, the one
 butterfly kernel: a radix-2 transform of any length B up to 64, whose
 twiddles 2^(192k/B) are all shifts as 2 has order 192, and which
-``bigint``'s block engine also runs along the row axis.
+``engines``' block engine also runs along the row axis.
 
 A batch is transformed in chunks of 2^18 values with the batch axis
 innermost, the four-step layout of Bailey ("FFTs in external or

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from qpa import bigint, bitio, ntt, oracle, pipeline
+from qpa import bigint, bitio, engines, ntt, oracle, pipeline
 from qpa import goldilocks as gl
 from qpa.errors import AllOnesBlock
 
@@ -154,14 +154,14 @@ def test_criterion_4_end_to_end_oracle(monkeypatch, tmp_path):
     # each pass_spectra call, here or in a forked worker, appends its
     # engine to this file: b"B" for the block engine, b"M" for the MAC
     log = os.open(tmp_path / "engines", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-    real_engine = bigint.pass_engine
+    real_engine = engines.block_size
 
     def logged(rows, passes):
         size = real_engine(rows, passes)
         os.write(log, b"B" if size else b"M")
         return size
 
-    monkeypatch.setattr(bigint, "pass_engine", logged)
+    monkeypatch.setattr(engines, "block_size", logged)
     total = 0
     took = {}
     try:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpa import bigint, bitio, dm3h, ntt, oracle, pipeline
+from qpa import bigint, bitio, dm3h, engines, ntt, oracle, pipeline
 from qpa.bigint import BigUint
 from qpa.errors import AllOnesBlock, OperandTooLarge, TooManyBlocks
 from qpa.goldilocks import P64
@@ -169,7 +169,7 @@ def test_pass_spectra_sums_each_shifted_range(gamma, n, passes, size):
     coeffs = [int.from_bytes(rng.bytes(gamma // 8), "little")
               for _ in range(n + passes - 1)]
     x, a = bigint.Words.from_ints(xs, gamma), bigint.Words.from_ints(coeffs, gamma)
-    assert bigint.pass_engine(n, passes) == size
+    assert engines.block_size(n, passes) == size
     for start, stop in ((0, n), (1, n - 1)):
         asked = []
 
@@ -188,6 +188,29 @@ def test_pass_spectra_sums_each_shifted_range(gamma, n, passes, size):
     bigint.pass_spectra(x, a.fill, passes, 1, n, both)
     assert bigint.to_ints(both[-1:], gamma)[0] == sum(
         xs[j] * coeffs[j + passes - 1] for j in range(n)) % p
+
+
+@pytest.mark.parametrize("gamma,n,passes,chosen", [
+    (127, 20, 14, 0),      # too few rows: the MAC is picked
+    (19937, 40, 14, 32),   # the block engine is picked, 1/B = 2^-5
+])
+def test_engines_give_identical_spectra(gamma, n, passes, chosen, monkeypatch):
+    # each plan forced through both engines: the (P, L) spectra are the
+    # same canonical arrays, not only the same sums after to_ints
+    rng = np.random.default_rng(gamma + n)
+    p = (1 << gamma) - 1
+    xs, coeffs = ([int.from_bytes(rng.bytes(gamma // 8 + 1), "little") % p
+                   for _ in range(k)] for k in (n, n + passes - 1))
+    x, a = bigint.Words.from_ints(xs, gamma), bigint.Words.from_ints(coeffs, gamma)
+    assert engines.block_size(n, passes) == chosen
+    spectra = {}
+    for size in (0, 32):
+        monkeypatch.setattr(engines, "block_size", lambda rows, count, size=size: size)
+        spectra[size] = bigint.pass_spectra(x, a.fill, passes)
+    assert spectra[0].shape == (passes, bigint.transform_shape(gamma)[0])
+    assert np.array_equal(spectra[0], spectra[32])
+    assert bigint.to_ints(spectra[32], gamma) == [
+        sum(v * coeffs[k + q] for k, v in enumerate(xs)) % p for q in range(passes)]
 
 
 def test_transform_shape_and_row_limit():
@@ -278,6 +301,16 @@ def test_dot_checks_its_operands(monkeypatch):
         bigint.dot(x, bigint.Words.from_ints([1, 2], 31))
     with pytest.raises(ValueError):
         bigint.Words.from_ints([1 << 7], 7)
+    # a negative offset and a row slice of another step are refused, not
+    # read as some other rows
+    seed = bigint.Words.from_ints(range(10), 7)
+    for offset in (-5, -1):
+        with pytest.raises(ValueError, match="negative"):
+            bigint.dot(x, seed, offset)
+    for rows in (slice(None, None, 2), slice(None, None, -1), slice(1, 8, 3)):
+        with pytest.raises(ValueError, match="step"):
+            seed[rows]
+    assert seed[-3:].ints() == [7, 8, 9]
     monkeypatch.setattr(bigint, "max_rows", lambda gamma: 1)
     with pytest.raises(TooManyBlocks):
         bigint.dot(x, x)
@@ -297,7 +330,7 @@ def test_corrupt_block_shift_is_detected_and_cleared():
     def sums():
         return bigint.to_ints(bigint.pass_spectra(x, a.fill, passes), gamma)
 
-    assert bigint.pass_engine(n, passes) == 32
+    assert engines.block_size(n, passes) == 32
     assert sums() == expected
     ntt._testing_corrupt_shift(32)
     try:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qpa
-from qpa import bigint, bitio, cli, pipeline
+from qpa import bigint, bitio, cli, engines, pipeline
 
 
 def run(argv):
@@ -28,14 +28,26 @@ def test_plan_output(capsys):
     # 65536 values, and a stack of 17 rows of the key and seed columns,
     # twice 16384 values
     assert "L         = 65536" in out
-    assert "engine    = block, B = 32" in out
-    assert f"spectra   = {97 * 65536 * 8 + 17 * 2 * 16384 * 8} bytes per process" in out
+    assert "engine    = block, B = 32 in one process" in out
+    assert f"spectra   = {97 * 65536 * 8 + 17 * 2 * 16384 * 8} bytes in one process" in out
     # one pass over 40 rows takes the MAC: 16 key rows, 16 seed rows and
     # the pass row
     assert run(["plan", "--in-bits", 40 * 756839, "--out-bits", 100]) == 0
     out = capsys.readouterr().out
-    assert "engine    = MAC" in out
-    assert f"spectra   = {33 * 65536 * 8} bytes per process" in out
+    assert "engine    = MAC in one process" in out
+    assert f"spectra   = {33 * 65536 * 8} bytes in one process" in out
+
+
+def test_plan_engine_is_for_one_process(capsys):
+    # 14 passes over 50 blocks take the block engine in one process, but
+    # each 25-block range of a 2-worker run takes the MAC
+    assert run(["plan", "--in-bits", 127 * 50, "--out-bits", 127 * 13 + 50,
+                "--gamma-exp", 127]) == 0
+    out = capsys.readouterr().out
+    assert "n         = 50" in out
+    assert "engine    = block, B = 32 in one process" in out
+    assert re.search(r"^spectra   = \d+ bytes in one process$", out, re.M)
+    assert engines.block_size(25, 14) == 0
 
 
 def test_plan_ratio_one_warns(capsys):

@@ -49,6 +49,25 @@ def test_all_ones_zero_policy():
     assert bv.ints() == [0, 0]
 
 
+def test_unknown_all_ones_policy_is_rejected():
+    # an all-ones block under an unknown policy neither raises AllOnesBlock
+    # nor is substituted: the policy is refused before the key is read
+    params = pipeline.plan(14, 7, 7)
+    seed = pipeline.seed_from_bits(
+        np.zeros(pipeline.required_seed_bits(params), dtype=np.uint8), params)
+    for policy in ("zeros", "Error", ""):
+        with pytest.raises(ValueError, match="policy") as info:
+            dm3h.split_and_pad(np.ones(14, dtype=np.uint8), params.mersenne,
+                               all_ones_policy=policy)
+        assert not isinstance(info.value, AllOnesBlock)
+        with pytest.raises(ValueError, match="policy"):
+            pipeline.distill(np.ones(14, dtype=np.uint8), seed, params,
+                             all_ones_policy=policy)
+        # refused before the key is read, so even an empty key is not looked at
+        with pytest.raises(ValueError, match="policy"):
+            dm3h.split_and_pad(b"", params.mersenne, all_ones_policy=policy)
+
+
 def test_mmh_pass_hand_examples():
     params = MersenneParams(3)
     x = Words.from_ints([1, 2], params.gamma)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpa import bigint, bitio, ntt, oracle, pipeline
+from qpa import bigint, bitio, engines, ntt, oracle, pipeline
 from qpa.errors import (AllOnesBlock, InvalidGamma, InvalidRatio,
                         InvalidWorkers, LengthMismatch, SeedTooShort,
                         TooManyBlocks, WorkerFailed)
@@ -266,11 +266,11 @@ def test_working_set_does_not_grow_with_the_blocks():
     # 4n blocks add no spectra to it
     gamma = 19937
     length = bigint.transform_shape(gamma)[0]
-    assert bigint.step_rows(length) == 64
+    assert ntt.batch_rows(length) == 64   # a step of key rows
     rng = np.random.default_rng(19)
     for m, n, size in ((2, 64, 0),      # the MAC: a step is 64 key rows at L = 4096
                        (13, 57, 32)):   # the block engine: three 19-row sections
-        assert bigint.pass_engine(n, m + 1) == bigint.pass_engine(4 * n, m + 1) == size
+        assert engines.block_size(n, m + 1) == engines.block_size(4 * n, m + 1) == size
         assert (bigint.working_set(length, n, m + 1)
                 == bigint.working_set(length, 4 * n, m + 1))
         peaks = []
@@ -432,7 +432,7 @@ def test_pass_and_multiplication_counts(monkeypatch):
     for (has_tail, m, n), l in shapes.items():
         params = pipeline.plan(127 * n, l, 127)
         assert (params.l_prime > 0, params.m) == (has_tail, m)
-        assert bool(bigint.pass_engine(n, params.pass_count)) == (m == 13)
+        assert bool(engines.block_size(n, params.pass_count)) == (m == 13)
         x, _ = random_instance(rng, params)
         seed_bits = rng.integers(0, 2, size=pipeline.required_seed_bits(params),
                                  dtype=np.uint8)
