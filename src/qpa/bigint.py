@@ -2,20 +2,26 @@
 
 The pass kernel is a weighted Mersenne transform (the irrational-base
 discrete weighted transform of Crandall and Fagin, Math. Comp. 62,
-1994), done exactly over the Goldilocks field.  For a given gamma, L is
-the smallest supported transform length whose digits are at most 12
-bits wide.  Digit j of a value holds bits e_j .. e_(j+1) - 1, where
-e_j = ceil(j*gamma/L), and is weighted by theta^(L*e_j - j*gamma) with
-theta^L = 2.  A length-L cyclic convolution of weighted digits, divided
-by the weights, gives coefficients c_k with
+1994), done exactly over the Goldilocks field, at a power-of-two length
+L.  Digit j of a value holds bits e_j .. e_(j+1) - 1, where
+e_j = ceil(j*gamma/L), at most b = ceil(gamma/L) bits, and is weighted
+by theta^(L*e_j - j*gamma) with theta^L = 2.  A length-L cyclic
+convolution of weighted digits, divided by the weights, gives
+coefficients c_k with
 
     x * y = sum_k c_k * 2^(e_k)  (mod 2^gamma - 1),
 
 with no zero padding.  Each c_k is a sum of at most L digit products,
-some doubled, so it is below 2L * (2^b - 1)^2 for digits of at most b
-bits.  A pass sums n such products; while n times that bound stays
-below the field modulus, the whole sum is exact in the spectrum and
-costs one inverse transform.
+some doubled, so it is below 2L * (2^b - 1)^2.  A pass sums n such
+products; while n times that bound stays below the field modulus, the
+whole sum is exact in the spectrum and costs one inverse transform.
+So ``transform_shape`` picks, once per plan, the shortest L whose
+bound holds for the plan's n rows: L = 1024 with 20-bit digits for
+n = 133 at gamma 19937, and L = 65536 with 12-bit digits at gamma
+756839, where L = 32768 holds one row.  The lengths 3 * 2^k would need
+theta^L = 2 with 3 | L, that is 2 a cube modulo p, and it is not.
+Every other function takes L from the width of the spectra it is
+given.
 
 ``Words`` is the one form of gamma-bit rows: one packed bit stream,
 kept as 64-bit words, whose row r starts at bit r*gamma.  Every reader
@@ -56,26 +62,43 @@ _M32 = _U64(0xFFFFFFFF)
 
 # -- weighted Mersenne transform ---------------------------------------------
 
-_DIGIT_BITS = 12
-MAX_GAMMA = _DIGIT_BITS * ntt.SUPPORTED_LENGTHS[-1]  # 786432
+# the widest gamma a plan takes: 12-bit digits at the longest length
+MAX_GAMMA = 12 * ntt.SUPPORTED_LENGTHS[-1]  # 786432
 
 # words of realigned rows the all-ones test holds at once
 _TEST_WORDS = 1 << 16
 
 
-def transform_shape(gamma: int) -> tuple[int, int]:
-    """(L, b): the smallest supported length and its widest digit, b <= 12."""
+def _row_limit(length: int, gamma: int) -> int:
+    """Most row products a length-``length`` pass sums exactly at ``gamma``.
+
+    Its digits are b = ceil(gamma / L) bits wide, and each sum stays
+    below p while rows * 2L(2^b - 1)^2 does.
+    """
+    width = -(-gamma // length)
+    if width > 32:  # (2^b - 1)^2 alone exceeds p: no need to square a wide int
+        return 0
+    return (gl.P64 - 1) // (2 * length * ((1 << width) - 1) ** 2)
+
+
+def transform_shape(gamma: int, rows: int) -> tuple[int, int]:
+    """(L, b): the shortest length whose pass sums ``rows`` products exactly, and its digit width.
+
+    A plan picks it once from its total row count, so every range and
+    pass of the plan runs at the same L.
+    """
+    if gamma > MAX_GAMMA:
+        raise OperandTooLarge(f"gamma {gamma} exceeds {MAX_GAMMA} bits")
     for length in ntt.SUPPORTED_LENGTHS:
-        width = -(-gamma // length)
-        if width <= _DIGIT_BITS:
-            return length, width
-    raise OperandTooLarge(f"gamma {gamma} exceeds {MAX_GAMMA} bits")
+        if max(rows, 1) <= _row_limit(length, gamma):
+            return length, -(-gamma // length)
+    raise TooManyBlocks(f"{rows} row products exceed the {max_rows(gamma)} a pass "
+                        f"sums exactly at gamma {gamma}")
 
 
 def max_rows(gamma: int) -> int:
-    """Most row products a pass can sum before a coefficient reaches p."""
-    length, width = transform_shape(gamma)
-    return (gl.P64 - 1) // (2 * length * ((1 << width) - 1) ** 2)
+    """Most row products a pass can sum, at any length, before a coefficient reaches p."""
+    return max(_row_limit(length, gamma) for length in ntt.SUPPORTED_LENGTHS)
 
 
 def _theta(length: int) -> int:
@@ -104,13 +127,15 @@ class _Layout:
     classes: int          # digits this far apart are >= 64 bits apart
 
 
-_layout_cache: dict[int, _Layout] = {}
+_layout_cache: dict[tuple[int, int], _Layout] = {}
 
 
-def _layout(gamma: int) -> _Layout:
-    lay = _layout_cache.get(gamma)
+def _layout(gamma: int, length: int) -> _Layout:
+    """The layout of spectra ``length`` values wide; its pass must sum at least one product."""
+    lay = _layout_cache.get((gamma, length))
     if lay is None:
-        length, _ = transform_shape(gamma)
+        if length not in ntt.SUPPORTED_LENGTHS or _row_limit(length, gamma) < 1:
+            raise OperandTooLarge(f"gamma {gamma} does not fit a length-{length} transform")
         j = np.arange(length + 1, dtype=np.int64)
         e = -((-j * gamma) // length)
         exponent = length * e[:-1] - j[:-1] * gamma   # in [0, L)
@@ -124,7 +149,7 @@ def _layout(gamma: int) -> _Layout:
             word=e[:-1] >> 6,
             bit=(e[:-1] & 63).astype(_U64),
             classes=min(length, -(-64 // low)) if low else length)
-        _layout_cache[gamma] = lay
+        _layout_cache[gamma, length] = lay
     return lay
 
 
@@ -157,12 +182,14 @@ def _weighted_digits(words: np.ndarray, lay: _Layout, out: np.ndarray) -> None:
         hi <<= np.subtract(_U64(63), lay.bit[part], out=rest)
         digits |= hi
         digits &= lay.mask[part]
-        # digit * weight = lo + hi * 2^32 with lo, hi < 2^44, and 2^64 = 2^32 - 1
+        # digit * weight = lo + hi * 2^32 with lo, hi < 2^61, as a shape
+        # that sums a row has b <= 29 (32 * (2^30 - 1)^2 > p), and
+        # 2^64 = 2^32 - 1
         lo = np.multiply(digits, w0[part], out=out[:, part])
         np.multiply(digits, w1[part], out=hi)
         np.right_shift(hi, _U64(32), out=t)
-        t *= _M32
-        lo += t  # now below 2^45
+        t *= _M32  # below 2^61
+        lo += t  # now below 2^62 < p
         hi <<= _U64(32)  # at most p - 1
         # both operands are canonical, as v_add requires
         gl.v_add(hi, lo, lo, tmp)
@@ -260,10 +287,11 @@ class Words:
     def fill(self, rows, out: np.ndarray) -> None:
         """Write the weighted forward spectrum of row ``rows[i]`` to ``out[i]``.
 
-        A transform batch at a time: the weighted digits go straight to
-        the rows of ``out``, which are then transformed in place.
+        The spectra are as long as the rows of ``out``.  A transform
+        batch at a time: the weighted digits go straight to the rows of
+        ``out``, which are then transformed in place.
         """
-        lay = _layout(self.gamma)
+        lay = _layout(self.gamma, out.shape[1])
         batch = ntt.batch_rows(lay.length)
         for k in range(0, len(rows), batch):
             spectra = out[k:k + batch]
@@ -315,32 +343,35 @@ def working_set(length: int, rows: int, passes: int) -> int:
     output ``passes`` rows, and the engine its ``buffer_bytes``, kernel
     temporaries not counted.  None grows with ``rows`` past a step.
     """
-    engine = engines.engine(rows, passes, length)
+    engine = engines.engine(rows, passes)
     window = _steps(engine.section, rows, length)[1]
-    return 8 * (2 * window + 2 * passes - 1) * length + engine.buffer_bytes(window)
+    return (8 * (2 * window + 2 * passes - 1) * length
+            + engine.buffer_bytes(window, length))
 
 
 def pass_spectra(x: Words, seed_fill, passes: int, start: int = 0,
                  stop: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Add the spectra of sum_j x[j] * a[j + q], start <= j < stop, to out[q].
 
-    ``out`` holds ``passes`` rows of canonical values, zeros if not
-    given, and is returned.  ``seed_fill(rows, out)``, such as
-    ``Words.fill``, writes the spectra of the seed rows a[r]; it is
-    asked for the rows start .. stop + passes - 2, each once.  The key
-    rows go in steps (``_steps``) into a window of as many rows, and the
-    seed rows a step newly needs into a window of passes - 1 more, whose
-    rows the next step still needs move to its front.  The range's
-    engine (``engines.engine``) adds each step's products to ``out`` by
-    the time it finishes.  Every step reuses the windows, so the memory
-    held comes to ``working_set`` bytes, whatever the row count.
+    ``out`` holds ``passes`` rows of canonical values, and is returned.
+    Its width is the transform length; if not given, it is zeros at the
+    length ``transform_shape`` picks for all of x's rows.
+    ``seed_fill(rows, out)``, such as ``Words.fill``, writes the spectra
+    of the seed rows a[r]; it is asked for the rows start .. stop +
+    passes - 2, each once.  The key rows go in steps (``_steps``) into a
+    window of as many rows, and the seed rows a step newly needs into a
+    window of passes - 1 more, whose rows the next step still needs move
+    to its front.  The range's engine (``engines.engine``) adds each
+    step's products to ``out`` by the time it finishes.  Every step
+    reuses the windows, so the memory held comes to ``working_set``
+    bytes, whatever the row count.
     """
-    length = transform_shape(x.gamma)[0]
-    stop = len(x) if stop is None else stop
-    engine = engines.engine(stop - start, passes, length)
-    step, window = _steps(engine.section, stop - start, length)
     if out is None:
-        out = np.zeros((passes, length), dtype=_U64)
+        out = np.zeros((passes, transform_shape(x.gamma, len(x))[0]), dtype=_U64)
+    length = out.shape[1]
+    stop = len(x) if stop is None else stop
+    engine = engines.engine(stop - start, passes)
+    step, window = _steps(engine.section, stop - start, length)
     keys = np.empty((window, length), dtype=_U64)
     seeds = np.empty((window + passes - 1, length), dtype=_U64)
     have = start  # one past the last seed row in the window
@@ -359,11 +390,12 @@ def pass_spectra(x: Words, seed_fill, passes: int, start: int = 0,
 def to_ints(spectra: np.ndarray, gamma: int) -> list[int]:
     """The row sums ``spectra`` holds, each reduced modulo 2^gamma - 1.
 
-    Rows are inverted a transform batch at a time: on a 2-CPU x86 VM,
-    a lone row of 4096 values took about four times as long per row as
-    a batch of fourteen.
+    The transform length is the width of ``spectra``.  Rows are
+    inverted a transform batch at a time: on a 2-CPU x86 VM, a lone row
+    of 4096 values took about four times as long per row as a batch of
+    fourteen.
     """
-    lay = _layout(gamma)
+    lay = _layout(gamma, spectra.shape[1])
     batch = ntt.batch_rows(lay.length)
     totals = []
     for k in range(0, len(spectra), batch):
@@ -483,9 +515,10 @@ def mul_ntt(a: BigUint, b: BigUint) -> BigUint:
 
 # -- test hooks -------------------------------------------------------------
 
-def _testing_corrupt_weight(gamma: int) -> None:
-    """Flip the cached weight of a widest digit (negative control for selftest)."""
-    lay = _layout(gamma)
+def _testing_corrupt_weight(gamma: int, length: int) -> None:
+    """Flip the cached weight of a widest digit at one transform length
+    (negative control for selftest)."""
+    lay = _layout(gamma, length)
     lay.weight[0][np.argmax(lay.mask)] ^= _U64(1)
 
 

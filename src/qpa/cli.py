@@ -43,8 +43,9 @@ def cmd_plan(args) -> int:
     print(f"m         = {params.m}")
     print(f"l_prime   = {params.l_prime}")
     print(f"seed bits = {pipeline.required_seed_bits(params)}")
-    length = bigint.transform_shape(params.gamma)[0]
+    length, width = bigint.transform_shape(params.gamma, params.n)
     print(f"L         = {length}")
+    print(f"b         = {width}")
     # a run at W workers picks its engine per range of about n / W blocks
     size = engines.block_size(params.n, params.pass_count)
     print(f"engine    = {f'block, B = {size}' if size else 'MAC'} in one process")
@@ -123,8 +124,9 @@ def _selftest_suites():
                "v_mul differs from Python ints")
 
     def ntt_roundtrip():
-        # a 5 x 65536 batch spans two transform chunks, the second ragged
-        for shape in ((16,), (256,), (5, 65536)):
+        # 5 x 65536 and 300 x 1024 batches span two transform chunks, the
+        # second ragged, and 1024 ends in a radix-4 stage
+        for shape in ((16,), (256,), (5, 65536), (300, 1024)):
             v = rng.integers(0, 1 << 24, size=shape).astype(np.uint64)
             _check(np.array_equal(ntt.ntt_inverse(ntt.ntt_forward(v)), v),
                    f"round trip of shape {shape}")
@@ -234,7 +236,8 @@ def _selftest_suites():
                               bigint.Words.from_ints([y], gamma))
 
         _check(product() == x * y % p, "weighted product")
-        bigint._testing_corrupt_weight(gamma)
+        # at the length the one-row product runs
+        bigint._testing_corrupt_weight(gamma, bigint.transform_shape(gamma, 1)[0])
         try:
             _check(product() != x * y % p, "corruption went undetected")
         finally:

@@ -45,19 +45,21 @@ def block_size(rows: int, passes: int) -> int:
     ``_BLOCK_PRODUCTS`` // passes) rows.  Whole ``pass_spectra`` calls
     on a 2-CPU x86 VM at L = 4096, MAC against block: 20 rows and 14
     passes 49 / 55 ms, 30 and 14 65 / 64 ms, 67 and 14 107 / 93 ms,
-    24 rows and 20 passes 48 / 57 ms.  B is the shortest of
-    ``_BLOCK_SIZES`` that takes every pass in one group, else the
-    longest.
+    24 rows and 20 passes 48 / 57 ms.  At L = 1024, with 14 passes,
+    medians of 7: 30 rows 19.3 / 25.4 ms, 67 rows 32.9 / 33.4 ms, 133
+    rows 59.6 / 52.7 ms, so the crossover moves little.  B is the
+    shortest of ``_BLOCK_SIZES`` that takes every pass in one group,
+    else the longest.
     """
     if passes < _BLOCK_PASSES or rows < max(_BLOCK_ROWS, _BLOCK_PRODUCTS // passes):
         return 0
     return next((size for size in _BLOCK_SIZES if 2 * passes <= size), _BLOCK_SIZES[-1])
 
 
-def engine(rows: int, passes: int, length: int) -> "Mac | BlockSums":
-    """The engine ``block_size`` picks, for spectra of ``length`` values."""
+def engine(rows: int, passes: int) -> "Mac | BlockSums":
+    """The engine ``block_size`` picks; it takes the transform length from its arrays."""
     size = block_size(rows, passes)
-    return BlockSums(size, passes, length) if size else Mac()
+    return BlockSums(size, passes) if size else Mac()
 
 
 def _sum_products(x: np.ndarray, a: np.ndarray, tmp: tuple,
@@ -130,7 +132,7 @@ class Mac:
 
     section = 1
 
-    def buffer_bytes(self, keys: int) -> int:
+    def buffer_bytes(self, keys: int, length: int) -> int:
         return 0
 
     def add(self, keys: np.ndarray, seeds: np.ndarray, rows: int, out: np.ndarray) -> None:
@@ -173,41 +175,48 @@ class BlockSums:
     fills' transform temporaries are gone.
     """
 
-    def __init__(self, size: int, passes: int, length: int):
+    def __init__(self, size: int, passes: int):
         count = -(-passes // (size // 2))
         group = -(-passes // count)
         self.section = size - group + 1
         # (q0, G) for each group of G passes
         self.groups = [(q, min(group, passes - q)) for q in range(0, passes, group)]
-        self.size, self.passes, self.length, self.acc = size, passes, length, None
+        self.size, self.passes, self.acc = size, passes, None
 
-    def _columns(self, sections: int) -> int:
+    @staticmethod
+    def _columns(sections: int, length: int) -> int:
         """Columns of each section a stack row holds: a whole row if it fits."""
-        return max(1, min(self.length, _STACK_WIDTH // sections))
+        return max(1, min(length, _STACK_WIDTH // sections))
 
-    def buffer_bytes(self, keys: int) -> int:
+    def buffer_bytes(self, keys: int, length: int) -> int:
         """Bytes of the accumulators and a step's stack for a window of ``keys`` key rows."""
         sections = keys // self.section
-        width = sections * self._columns(sections)
-        return 8 * (len(self.groups) * self.size * self.length + (self.size + 2) * width)
+        width = sections * self._columns(sections, length)
+        return 8 * (len(self.groups) * self.size * length + (self.size + 2) * width)
 
     def add(self, keys: np.ndarray, seeds: np.ndarray, rows: int, out: np.ndarray) -> None:
         """Add the products of keys[:rows] and seeds[:rows + passes - 1] to out by ``finish``.
 
-        ``keys`` holds whole sections and ``seeds`` passes - 1 rows more;
-        the rest of each is set to zero.
+        ``keys`` holds whole sections and ``seeds`` passes - 1 rows more.
+        Only the ceil(rows / T) sections that hold key rows are
+        transformed.  The key rows they read past ``rows`` are set to
+        zero, as each meets a seed row in the sums kept.  So are the
+        seed rows they read past rows + passes - 1: these meet only zero
+        key rows, but a row no fill wrote need not hold canonical
+        values, which the field kernels need.
         """
-        keys[rows:] = 0
-        seeds[rows + self.passes - 1:] = 0
         size, t, half = self.size, self.section, self.size // 2
+        sections = -(-rows // t)
+        keys[rows:sections * t] = 0
+        seeds[rows + self.passes - 1:sections * t + self.passes - 1] = 0
+        length = keys.shape[1]
         if self.acc is None:
-            self.acc = np.zeros((len(self.groups), size, self.length), dtype=_U64)
-        sections = len(keys) // t
-        cols = self._columns(sections)
+            self.acc = np.zeros((len(self.groups), size, length), dtype=_U64)
+        cols = self._columns(sections, length)
         buf = np.empty((half + 1, 2 * sections * cols), dtype=_U64)
         tmp = gl.scratch((2 * sections * cols,))
         mac_tmp = mac_scratch(sections, cols)
-        for c in range(0, self.length, cols):
+        for c in range(0, length, cols):
             part = slice(c, c + cols)
             shape = (sections, len(keys[0, part]))
             n = shape[0] * shape[1]
@@ -217,7 +226,7 @@ class BlockSums:
             flat, shaped = (tuple(a[:2 * n] for a in tmp),
                             tuple(a[:n].reshape(shape) for a in tmp))
             # row i of section s's stack is key row s*T + T - 1 - i
-            krows = [keys[t - 1 - i::t, part] for i in range(t)]
+            krows = [keys[t - 1 - i:sections * t:t, part] for i in range(t)]
             for h in (0, 1):
                 ntt.half_inputs(krows, size, h, kstack, shaped)
                 for g, (q, count) in enumerate(self.groups):
@@ -236,14 +245,14 @@ class BlockSums:
 
     def finish(self, out: np.ndarray) -> None:
         """Invert each group's accumulator and add its passes, scaled by 1/B, to out[q0 ..]."""
-        size, t = self.size, self.section
+        size, t, length = self.size, self.section, out.shape[1]
         rev = ntt.bit_reversal(size)
         shift = 1 - size.bit_length()  # -log2(B)
-        cols = self._columns(1)
+        cols = self._columns(1, length)
         spare = np.empty(cols, dtype=_U64)
         tmp = gl.scratch((cols,))
         for g, (q, count) in enumerate(self.groups):
-            for c in range(0, self.length, cols):
+            for c in range(0, length, cols):
                 part = slice(c, c + cols)
                 narrow = tuple(a[:len(out[0, part])] for a in tmp)
                 # the forward transforms leave frequency rev(f) in row f

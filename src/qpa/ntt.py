@@ -1,27 +1,32 @@
-"""Radix-16 number-theoretic transform over the Goldilocks field.
+"""Number-theoretic transform over the Goldilocks field, radix 16.
 
-Supported lengths are 16^k for k = 1..4 (up to 65536).  Each radix-16
-stage multiplies only by powers of w16 = 4096 = 2^12, realized as bit
-shifts modulo p; inter-stage twiddle factors come from cached tables of
-powers of the global root, stored once as the 32-bit halves that
-``goldilocks.v_mul_halves`` takes.  Input and output are both in
-natural order.  The 16-point stages are ``shift_dft``, the one
-butterfly kernel: a radix-2 transform of any length B up to 64, whose
-twiddles 2^(192k/B) are all shifts as 2 has order 192, and which
-``engines``' block engine also runs along the row axis.
+Supported lengths are the powers of two from 16 to 65536: L = 16^k * r
+runs k radix-16 stages and, for r = 2, 4 or 8, one last radix-r stage.
+Each radix-16 stage multiplies only by powers of w16 = 4096 = 2^12,
+realized as bit shifts modulo p; inter-stage twiddle factors come from
+cached tables of powers of the global root, stored once as the 32-bit
+halves that ``goldilocks.v_mul_halves`` takes.  The last stage needs no
+twiddles, and its r-point butterflies take w_r = w^(L/r) = 2^(192/r),
+a shift too.  Input and output are both in natural order.  Every stage
+is ``shift_dft``, the one butterfly kernel: a radix-2 transform of any
+length B up to 64, whose twiddles 2^(192k/B) are all shifts as 2 has
+order 192, and which ``engines``' block engine also runs along the row
+axis.
 
 A batch is transformed in chunks of 2^18 values with the batch axis
 innermost, the four-step layout of Bailey ("FFTs in external or
 hierarchical memory", J. Supercomputing 4, 1990) applied within each
-chunk: 4 rows per chunk at length 65536, 64 at 4096 (``batch_rows``).
+chunk: 4 rows per chunk at length 65536, 256 at 1024 (``batch_rows``).
 A stage runs its 16-point butterflies one pair of rows at a time, in
 place but for one spare row, then multiplies each of its 16 output rows
 by its twiddles and writes it straight to its transposed place in the
-next stage's buffer.  So every elementwise kernel call works on at most
-16384 values and writes into buffers that one transform call allocates
-once: two chunk buffers, a spare row and the kernels' temporaries.  The
-inverse applies its 1/N scale in the same pieces as it writes the
-result out.  A forward result may overwrite its input.
+next stage's buffer.  The last radix-r stage, whose rows are 16/r
+pieces long, runs on one piece of columns at a time.  So every
+elementwise kernel call works on at most 16384 values and writes into
+buffers that one transform call allocates once: two chunk buffers, a
+spare row and the kernels' temporaries.  The inverse applies its 1/N
+scale in the same pieces as it writes the result out.  A forward result
+may overwrite its input.
 
 All functions accept a 1-D vector or a 2-D batch (one vector per row)
 of canonical ``numpy.uint64`` values.
@@ -34,7 +39,7 @@ import numpy as np
 from . import goldilocks as gl
 from .errors import LengthMismatch, UnsupportedLength
 
-SUPPORTED_LENGTHS = (16, 256, 4096, 65536)
+SUPPORTED_LENGTHS = tuple(1 << k for k in range(4, 17))
 
 _U64 = np.uint64
 
@@ -56,7 +61,8 @@ def bit_reversal(size: int) -> list[int]:
     return [int(f"{i:0{bits}b}"[::-1], 2) for i in range(size)]
 
 
-_REV16 = bit_reversal(16)
+# the bit reversal of each stage's radix
+_REV = {radix: bit_reversal(radix) for radix in (2, 4, 8, 16)}
 
 _twiddle_cache: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -74,7 +80,7 @@ def _twiddle_table(length: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
         w = gl.root_of_unity(length)
         powers = gl.powers(pow(w, -1, gl.P64) if inverse else w, length)
         n = np.arange(length // 16)
-        table = gl.halves(powers[np.outer(_REV16, n) % length, None])
+        table = gl.halves(powers[np.outer(_REV[16], n) % length, None])
         _twiddle_cache[key] = table
     return table
 
@@ -165,18 +171,21 @@ def _transform(d: np.ndarray, spare: np.ndarray, row_spare: np.ndarray,
     """Transform along axis 0 of a (length, m) array.
 
     Radix-16 decimation in frequency with the independent columns
-    innermost.  Each stage multiplies row p of the 16-point outputs by
-    its twiddles and writes it straight to its transposed place, so
-    with a full chunk every kernel call sees length*m/16 = _PIECE
-    values.  The stages alternate between d and ``spare``, a contiguous
-    array of the same size; both are overwritten, and the one holding
-    the result is returned.  ``row_spare`` and the kernel temporaries
-    ``tmp`` (from ``goldilocks.scratch``) hold at least length*m/16
-    values each.
+    innermost, down to a length of 16 or a last radix-2, 4 or 8 stage
+    (``_last_stage``).  Each radix-16 stage multiplies row p of the
+    16-point outputs by its twiddles and writes it straight to its
+    transposed place, so with a full chunk every kernel call sees
+    length*m/16 = _PIECE values.  The stages alternate between d and
+    ``spare``, a contiguous array of the same size; both are
+    overwritten, and the one holding the result is returned.
+    ``row_spare`` and the kernel temporaries ``tmp`` (from
+    ``goldilocks.scratch``) hold at least length*m/16 values each.
     """
     length, m = d.shape
     if length == 1:
         return d
+    if length < 16:
+        return _last_stage(d, spare, row_spare, inverse, tmp)
     cols = length // 16
     flat = tuple(t[:cols * m] for t in tmp)
     rows = shift_dft(d.reshape(16, cols * m), row_spare[:cols * m], inverse, flat)
@@ -184,7 +193,7 @@ def _transform(d: np.ndarray, spare: np.ndarray, row_spare: np.ndarray,
     z = spare.reshape(cols, 16, m)
     lo, hi = _twiddle_table(length, inverse)
     shaped = tuple(t.reshape(cols, m) for t in flat)
-    for p, q in enumerate(_REV16):
+    for p, q in enumerate(_REV[16]):
         row = rows[p].reshape(cols, m)
         if p and cols > 1:  # row 0 and the length-16 stage have unit twiddles
             gl.v_mul_halves(row, lo[p], hi[p], z[:, q, :], shaped)
@@ -192,6 +201,27 @@ def _transform(d: np.ndarray, spare: np.ndarray, row_spare: np.ndarray,
             z[:, q, :] = row
     return _transform(z.reshape(cols, 16 * m), d.reshape(cols, 16 * m),
                       row_spare, inverse, tmp).reshape(length, m)
+
+
+def _last_stage(d: np.ndarray, spare: np.ndarray, row_spare: np.ndarray,
+                inverse: bool, tmp: tuple) -> np.ndarray:
+    """The last radix-r stage, r = 2, 4 or 8, of ``_transform`` on a (r, m) array.
+
+    Its twiddles are all 1, and its outputs go to their natural rows of
+    ``spare``, which is returned.  A row holds m = chunk/r values, more
+    than a piece, so the butterflies run on a piece of columns at a time.
+    """
+    radix, m = d.shape
+    out = spare.reshape(radix, m)
+    piece = len(tmp[0])
+    for c in range(0, m, piece):
+        part = slice(c, c + piece)
+        width = len(d[0, part])
+        rows = shift_dft(d[:, part], row_spare[:width], inverse,
+                         tuple(t[:width] for t in tmp))
+        for p, q in enumerate(_REV[radix]):
+            out[q, part] = rows[p]
+    return out
 
 
 def _check_input(v: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -239,7 +239,8 @@ def _pass_sums(blocks: bigint.Words, A: bigint.Words, passes: int,
     start of each range but the first.
     """
     n, gamma = len(blocks), blocks.gamma
-    length = bigint.transform_shape(gamma)[0]
+    # one length for the whole plan: the ranges' spectra are summed
+    length = bigint.transform_shape(gamma, n)[0]
     shares = min(workers, n, len(os.sched_getaffinity(0)))
     bounds = [k * n // shares for k in range(shares + 1)]
     shared = sorted({r for b in bounds[1:-1] for r in range(b, b + passes - 1)})

@@ -207,23 +207,45 @@ def test_engines_give_identical_spectra(gamma, n, passes, chosen, monkeypatch):
     for size in (0, 32):
         monkeypatch.setattr(engines, "block_size", lambda rows, count, size=size: size)
         spectra[size] = bigint.pass_spectra(x, a.fill, passes)
-    assert spectra[0].shape == (passes, bigint.transform_shape(gamma)[0])
+    assert spectra[0].shape == (passes, bigint.transform_shape(gamma, n)[0])
     assert np.array_equal(spectra[0], spectra[32])
     assert bigint.to_ints(spectra[32], gamma) == [
         sum(v * coeffs[k + q] for k, v in enumerate(xs)) % p for q in range(passes)]
 
 
 def test_transform_shape_and_row_limit():
-    assert bigint.transform_shape(7) == (16, 1)
-    assert bigint.transform_shape(521) == (256, 3)
-    assert bigint.transform_shape(19937) == (4096, 5)
-    assert bigint.transform_shape(756839) == (65536, 12)
-    assert bigint.transform_shape(bigint.MAX_GAMMA) == (65536, 12)
+    assert bigint.transform_shape(7, 1) == (16, 1)
+    assert bigint.transform_shape(521, 1) == (32, 17)
+    # headline-shape's n = 133 blocks
+    assert bigint.transform_shape(19937, 133) == (1024, 20)
+    # the headline's gamma: L = 32768 takes 24-bit digits and sums one row
+    assert bigint.transform_shape(756839, 1) == (32768, 24)
+    assert bigint.transform_shape(756839, 133) == (65536, 12)
+    assert bigint.transform_shape(bigint.MAX_GAMMA, 2) == (65536, 12)
     with pytest.raises(OperandTooLarge):
-        bigint.transform_shape(bigint.MAX_GAMMA + 1)
+        bigint.transform_shape(bigint.MAX_GAMMA + 1, 1)
     # n products of coefficients below 2L(2^b - 1)^2 stay below p
     assert bigint.max_rows(756839) == 8392705
     assert 8392705 * 2 * 65536 * 4095 ** 2 < P64 <= 8392706 * 2 * 65536 * 4095 ** 2
+    with pytest.raises(TooManyBlocks):
+        bigint.transform_shape(756839, 8392706)
+
+
+@pytest.mark.parametrize("gamma,length,width", [
+    (521, 32, 17), (19937, 1024, 20), (44497, 2048, 22), (756839, 65536, 12)])
+def test_row_limit_picks_the_next_length(gamma, length, width):
+    # with every digit at 2^b - 1, each coefficient of a row product is
+    # below 2L(2^b - 1)^2: ``limit`` rows of them stay below p, one more
+    # may not, and that row moves the shape to the next length
+    worst = 2 * length * ((1 << width) - 1) ** 2
+    limit = (P64 - 1) // worst
+    assert limit * worst < P64 <= (limit + 1) * worst
+    assert bigint.transform_shape(gamma, limit) == (length, width)
+    if length < ntt.SUPPORTED_LENGTHS[-1]:
+        assert bigint.transform_shape(gamma, limit + 1)[0] == 2 * length
+    else:
+        with pytest.raises(TooManyBlocks):
+            bigint.transform_shape(gamma, limit + 1)
 
 
 @pytest.mark.parametrize("length", ntt.SUPPORTED_LENGTHS)
@@ -232,8 +254,11 @@ def test_theta_is_a_root_of_two(length):
 
 
 def digit_boundary_bits(gamma):
-    """Bits e_j - 1 and e_j for every digit start e_j = ceil(j*gamma/L)."""
-    length, _ = bigint.transform_shape(gamma)
+    """Bits e_j - 1 and e_j for every digit start e_j = ceil(j*gamma/L).
+
+    L is the length of a pass over up to 6 rows, as the test below draws.
+    """
+    length, _ = bigint.transform_shape(gamma, 6)
     starts = {-(-j * gamma // length) for j in range(1, length)}
     return sorted({e + d for e in starts for d in (-1, 0) if 0 <= e + d < gamma})
 
@@ -316,6 +341,34 @@ def test_dot_checks_its_operands(monkeypatch):
         bigint.dot(x, x)
 
 
+def test_short_last_step_transforms_only_its_sections(monkeypatch):
+    # a step of 21 key rows in a window of 4 sections of T = 19: the block
+    # engine runs 2 sections and gives the MAC's sums, though every window
+    # row past the step holds 2^64 - 1, a value no field element has
+    passes, length = 14, 32
+    engine = engines.BlockSums(32, passes)
+    t = engine.section
+    rows, window = t + 2, 4 * t
+    rng = np.random.default_rng(21)
+    keys = rng.integers(0, P64, size=(window, length), dtype=np.uint64)
+    seeds = rng.integers(0, P64, size=(window + passes - 1, length), dtype=np.uint64)
+    expected = np.zeros((passes, length), dtype=np.uint64)
+    engines.Mac().add(keys, seeds, rows, expected)
+    keys[rows:] = seeds[rows + passes - 1:] = np.uint64((1 << 64) - 1)
+    sections, mac = [], engines.mac
+
+    def counted(x, *args):
+        sections.append(len(x))
+        mac(x, *args)
+
+    monkeypatch.setattr(engines, "mac", counted)
+    out = np.zeros((passes, length), dtype=np.uint64)
+    engine.add(keys, seeds, rows, out)
+    engine.finish(out)
+    assert set(sections) == {2}
+    assert np.array_equal(out, expected)
+
+
 def test_corrupt_block_shift_is_detected_and_cleared():
     # a block-engine pass with one first-stage butterfly shifted a bit too
     # far, as the selftest runs it
@@ -350,7 +403,7 @@ def test_corrupt_weight_is_detected_and_cleared():
                           bigint.Words.from_ints([y], gamma))
 
     assert product() == x * y % p
-    bigint._testing_corrupt_weight(gamma)
+    bigint._testing_corrupt_weight(gamma, bigint.transform_shape(gamma, 1)[0])
     try:
         assert product() != x * y % p
     finally:

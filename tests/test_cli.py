@@ -28,8 +28,16 @@ def test_plan_output(capsys):
     # 65536 values, and a stack of 17 rows of the key and seed columns,
     # twice 16384 values
     assert "L         = 65536" in out
+    assert "b         = 12" in out
     assert "engine    = block, B = 32 in one process" in out
     assert f"spectra   = {97 * 65536 * 8 + 17 * 2 * 16384 * 8} bytes in one process" in out
+    # the same 133 blocks at gamma 19937 fit L = 1024 with 20-bit digits
+    assert run(["plan", "--in-bits", 2_651_621, "--out-bits", 265_162,
+                "--gamma-exp", 19937]) == 0
+    out = capsys.readouterr().out
+    assert "n         = 133" in out
+    assert "L         = 1024" in out
+    assert "b         = 20" in out
     # one pass over 40 rows takes the MAC: 16 key rows, 16 seed rows and
     # the pass row
     assert run(["plan", "--in-bits", 40 * 756839, "--out-bits", 100]) == 0

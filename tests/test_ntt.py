@@ -35,15 +35,17 @@ def test_all_ones_transform():
     assert np.array_equal(ntt.ntt_forward(ones), expected)
 
 
-@pytest.mark.parametrize("length", [16, 256])
+# 32, 64 and 128 end in a radix-2, 4 and 8 stage, and so does 1024 after
+# two radix-16 stages; the naive oracle takes seconds a row at 1024
+@pytest.mark.parametrize("length", [16, 32, 64, 128, 256, 1024])
 def test_forward_matches_naive(length):
     rng = np.random.default_rng(length)
-    for _ in range(3):
+    for _ in range(3 if length <= 256 else 1):
         v = rand_vec(rng, length)
         assert np.array_equal(ntt.ntt_forward(v), oracle.naive_ntt(v))
 
 
-@pytest.mark.parametrize("length", [16, 256])
+@pytest.mark.parametrize("length", [16, 32, 64, 128, 256])
 def test_inverse_matches_naive(length):
     rng = np.random.default_rng(length + 1)
     for _ in range(3):
@@ -98,7 +100,7 @@ def test_linearity():
 def test_batch_matches_per_row():
     rng = np.random.default_rng(10)
     # one chunk; two chunks of 2^18 values, the second ragged, at two lengths
-    for rows, length in ((7, 256), (1030, 256), (70, 4096)):
+    for rows, length in ((7, 256), (1030, 256), (70, 4096), (300, 1024), (8200, 32)):
         batch = rand_vec(rng, length, batch=rows)
         stacked = ntt.ntt_forward(batch)
         for row_in, row_out in zip(batch, stacked):
@@ -107,7 +109,7 @@ def test_batch_matches_per_row():
 
 def test_unsupported_length():
     with pytest.raises(UnsupportedLength):
-        ntt.ntt_forward(np.zeros(32, dtype=np.uint64))
+        ntt.ntt_forward(np.zeros(48, dtype=np.uint64))
     with pytest.raises(UnsupportedLength):
         ntt.ntt_inverse(np.zeros(17, dtype=np.uint64))
 
@@ -124,8 +126,10 @@ def test_corrupted_twiddles_detected():
     assert np.array_equal(ntt.ntt_forward(v), clean)
 
 
-# part of a chunk, and full 2^18-value chunks at both production lengths
-@pytest.mark.parametrize("shape", [(16, 4096), (1, 65536), (4, 65536), (64, 4096)])
+# part of a chunk, and full 2^18-value chunks at production lengths, two
+# of them with a last radix-2 or radix-4 stage
+@pytest.mark.parametrize("shape", [(16, 4096), (1, 65536), (4, 65536), (64, 4096),
+                                   (256, 1024), (8192, 32)])
 def test_peak_memory_stays_near_the_input(shape):
     # numpy reports its buffers to tracemalloc; the transform keeps two
     # chunk buffers, a spare row, the output and one set of kernel
@@ -140,6 +144,22 @@ def test_peak_memory_stays_near_the_input(shape):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * v.nbytes
+
+
+@pytest.mark.parametrize("length", [32, 1024, 2048, 65536])
+def test_kernel_calls_stay_within_a_piece(length, monkeypatch):
+    # the last radix-2, 4 or 8 stage's rows are longer than a piece; it
+    # must run on pieces, or the kernels would spill their temporaries
+    v = rand_vec(np.random.default_rng(15), length, batch=ntt.batch_rows(length))
+    ntt.ntt_inverse(ntt.ntt_forward(v))  # the twiddle tables, built once
+    sizes = []
+    for name in ("v_add", "v_sub", "v_shl", "v_mul_halves"):
+        def sized(x, *args, real=getattr(gl, name), **kwargs):
+            sizes.append(np.size(x))
+            return real(x, *args, **kwargs)
+        monkeypatch.setattr(gl, name, sized)
+    assert np.array_equal(ntt.ntt_inverse(ntt.ntt_forward(v)), v)
+    assert max(sizes) == ntt._PIECE
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor faults as Linux counts them")

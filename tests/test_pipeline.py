@@ -265,11 +265,12 @@ def test_working_set_does_not_grow_with_the_blocks():
     # the traced peak covers numpy buffers; from a full step of key rows,
     # 4n blocks add no spectra to it
     gamma = 19937
-    length = bigint.transform_shape(gamma)[0]
-    assert ntt.batch_rows(length) == 64   # a step of key rows
+    length = bigint.transform_shape(gamma, 1)[0]
+    step = ntt.batch_rows(length)   # a step of key rows
+    assert bigint.transform_shape(gamma, 4 * step)[0] == length
     rng = np.random.default_rng(19)
-    for m, n, size in ((2, 64, 0),      # the MAC: a step is 64 key rows at L = 4096
-                       (13, 57, 32)):   # the block engine: three 19-row sections
+    for m, n, size in ((2, step, 0),                  # the MAC: a step of key rows
+                       (13, step // 19 * 19, 32)):    # the block engine: 19-row sections
         assert engines.block_size(n, m + 1) == engines.block_size(4 * n, m + 1) == size
         assert (bigint.working_set(length, n, m + 1)
                 == bigint.working_set(length, 4 * n, m + 1))
@@ -287,6 +288,31 @@ def test_working_set_does_not_grow_with_the_blocks():
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 8 * length * 8, (m, peaks)
+
+
+@pytest.mark.parametrize("n", [256, 257, 300])
+def test_one_transform_length_per_plan(n, monkeypatch, deadline):
+    # at gamma 44497, L = 2048 sums up to 256 rows and L = 4096 more.  At
+    # n = 300 each 150-block range of a 2-worker run would fit L = 2048
+    # alone, but the ranges' spectra are summed, so the plan's L holds
+    gamma = 44497
+    assert bigint.transform_shape(gamma, 256)[0] == bigint.transform_shape(gamma, 150)[0] == 2048
+    assert bigint.transform_shape(gamma, 257)[0] == 4096
+    fake_cpus(monkeypatch, 2)
+    # the lengths the parent's share transforms at, its range's and the sums'
+    widths = set()
+    for attr in ("ntt_forward", "ntt_inverse"):
+        def logged(v, real=getattr(ntt, attr), **kwargs):
+            widths.add(v.shape[-1])
+            return real(v, **kwargs)
+        monkeypatch.setattr(ntt, attr, logged)
+    params = pipeline.plan(gamma * n - 3, gamma * 2 + 11, gamma)
+    x, seed = random_instance(np.random.default_rng(n), params)
+    expected = bitio.bytes_from_bits(oracle.naive_distill(x, seed, params))
+    for w in (1, 2):
+        assert bitio.bytes_from_bits(pipeline.distill(x, seed, params, workers=w)) == expected
+    assert widths == {2048 if n <= 256 else 4096}
+    assert_no_child_left()
 
 
 def test_share_count_is_capped_by_the_rows(monkeypatch):
