@@ -92,7 +92,7 @@ def transform_shape(gamma: int, rows: int) -> tuple[int, int]:
     for length in ntt.SUPPORTED_LENGTHS:
         if max(rows, 1) <= _row_limit(length, gamma):
             return length, -(-gamma // length)
-    raise TooManyBlocks(f"{rows} row products exceed the {max_rows(gamma)} a pass "
+    raise TooManyBlocks(f"{rows} blocks exceed the {max_rows(gamma)} a pass "
                         f"sums exactly at gamma {gamma}")
 
 
@@ -201,7 +201,8 @@ class Words:
     The stream, ordered as ``bitio`` orders bits, is kept once as
     little-endian 64-bit words, zero past the cut and for gamma // 64 + 3
     words after it, so the last row reads as far as any other.  A row
-    slice is a view on the same stream.
+    slice is a view on the same stream, which no method writes to.  A row
+    of gamma ones reads as 2^gamma - 1, which the ring products take as 0.
     """
 
     def __init__(self, data, gamma: int, count: int, nbits: int | None = None):
@@ -219,7 +220,6 @@ class Words:
         stream[:len(packed)] = packed
         stream[cut // 8] &= (1 << cut % 8) - 1  # bits past the cut
         self._stream = stream.view("<u8")
-        self._zero = np.zeros(count, dtype=bool)  # rows that read as 0
         self._first, self._count, self.gamma = 0, count, gamma
 
     @classmethod
@@ -250,23 +250,16 @@ class Words:
         Row r starts at bit 64q + s, so its word i is w[q + i] >> s |
         w[q + i + 1] << (64 - s), the second shift taken in two steps as
         a shift by 64 is undefined.  Above bit gamma a row holds the next
-        row's bits.  That is harmless: ``ints`` and the all-ones test mask
-        them off, and the transform's digit masks stop below e_L = gamma.
+        row's bits.  That is harmless: ``ints`` and ``all_ones`` mask them
+        off, and the transform's digit masks stop below e_L = gamma.
         """
-        rows = self._first + np.asarray(rows, dtype=np.int64)
-        start = rows * self.gamma
+        start = (self._first + np.asarray(rows, dtype=np.int64)) * self.gamma
         s = (start & 63).astype(_U64)[:, None]
         w = self._stream[(start >> 6)[:, None] + np.arange(self.gamma // 64 + 3)]
-        out = (w[:, :-1] >> s) | (w[:, 1:] << _U64(1) << (_U64(63) - s))
-        out[self._zero[rows]] = 0
-        return out
+        return (w[:, :-1] >> s) | (w[:, 1:] << _U64(1) << (_U64(63) - s))
 
-    def zero_all_ones(self) -> list[int]:
-        """Read every row of gamma ones as 0 from now on; return their indices.
-
-        Such a row is 2^gamma - 1, which is 0 modulo 2^gamma - 1.  Rows
-        are tested ``_TEST_WORDS`` words at a time.
-        """
+    def all_ones(self) -> list[int]:
+        """The indices of the rows of gamma ones, tested ``_TEST_WORDS`` words at a time."""
         full, rest = divmod(self.gamma, 64)
         top = _U64((1 << rest) - 1)
         step = max(1, _TEST_WORDS // (full + 2))
@@ -275,7 +268,6 @@ class Words:
             w = self._rows(range(k, min(k + step, self._count)))
             ones = (w[:, :full] == ~_U64(0)).all(axis=1) & (w[:, full] & top == top)
             bad += (k + np.flatnonzero(ones)).tolist()
-        self._zero[self._first + np.array(bad, dtype=np.int64)] = True
         return bad
 
     def ints(self) -> list[int]:
@@ -415,10 +407,6 @@ def dot(x: Words, a: Words, offset: int = 0) -> int:
     if len(a) < n + offset:
         raise ValueError(f"rows {offset}..{offset + n - 1} requested, "
                          f"only {len(a)} present")
-    limit = max_rows(x.gamma)
-    if n > limit:
-        raise TooManyBlocks(f"{n} row products exceed the {limit} a pass "
-                            f"sums exactly at gamma {x.gamma}")
     return to_ints(pass_spectra(x, a[offset:offset + n].fill, 1), x.gamma)[0]
 
 

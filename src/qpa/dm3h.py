@@ -13,8 +13,8 @@ rows the pass needs on every call, sums the pass in the spectrum and
 returns its canonical residue modulo p.  ``pipeline`` runs all passes
 of a plan together, transforming each row once.
 Raw input blocks equal to the all-ones pattern do not embed injectively
-into Z_p and are rejected with their indices; replacement policy
-belongs to the caller, and ``Words.zero_all_ones`` carries it out.
+into Z_p; ``split_and_pad`` alone enforces that rule.  A block it lets
+through is kept as it is and hashes as 0, which 2^gamma - 1 is modulo p.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def split_and_pad(X, params: MersenneParams, all_ones_policy: str = "error",
     ``X`` is packed bytes or a 0/1 array (LSB-first), of which the first
     ``nbits`` bits (default: all) are the key.  Under the default policy
     any all-ones raw block raises AllOnesBlock with its 1-based indices;
-    policy "zero" substitutes zero blocks and logs a security warning
+    policy "zero" keeps them, to hash as 0, and logs a security warning
     (the caller opted out of the rejection rule); any other raises ValueError.
     """
     if all_ones_policy not in ("error", "zero"):
@@ -46,7 +46,7 @@ def split_and_pad(X, params: MersenneParams, all_ones_policy: str = "error",
         raise ValueError("input must contain at least one bit")
     blocks = bigint.Words(X, params.gamma, -(-nbits // params.gamma), nbits)
     # only a full-width block can equal p; padding zeros keep the rest below
-    bad = [j + 1 for j in blocks.zero_all_ones()]
+    bad = [j + 1 for j in blocks.all_ones()]
     if bad:
         if all_ones_policy == "error":
             raise AllOnesBlock(bad)

@@ -10,7 +10,7 @@ class UnsupportedOrder(QpaError):
 
 
 class UnsupportedLength(QpaError):
-    """Transform length is not a supported power of 16."""
+    """Transform input is not a vector or batch whose length is a power of two in 16..65536."""
 
 
 class LengthMismatch(QpaError):
@@ -18,7 +18,7 @@ class LengthMismatch(QpaError):
 
 
 class OperandTooLarge(QpaError):
-    """Big-integer operand exceeds the size the NTT multiplier supports."""
+    """A gamma too wide for the transform (or for a given length), or a limb product too long."""
 
 
 class AllOnesBlock(QpaError):

@@ -42,7 +42,7 @@ from . import bigint, bitio, mmh_mh
 from . import goldilocks as gl
 from .dm3h import split_and_pad
 from .errors import (InvalidGamma, InvalidRatio, InvalidWorkers, LengthMismatch,
-                     SeedTooShort, TooManyBlocks, WorkerFailed)
+                     SeedTooShort, WorkerFailed)
 from .mersenne import MersenneParams, MersenneResidue
 from .mmh_mh import MhSeed
 
@@ -95,10 +95,7 @@ def plan(N: int, l: int, gamma: int) -> PaParams:
     if l <= 0 or l > N:
         raise InvalidRatio(f"need 0 < l <= N, got l = {l}, N = {N}")
     n = -(-N // gamma)
-    n_max = bigint.max_rows(gamma)
-    if n > n_max:
-        raise TooManyBlocks(f"{n} blocks exceed the {n_max} a pass sums "
-                            f"exactly at gamma {gamma}")
+    bigint.transform_shape(gamma, n)  # raises TooManyBlocks
     m = l // gamma
     l_prime = l - m * gamma
     return PaParams(gamma=params.gamma, N=N, l=l, n=n, m=m, l_prime=l_prime)
@@ -115,9 +112,9 @@ def required_seed_bits(params: PaParams) -> int:
 def seed_from_bits(bits, params: PaParams) -> SeedMaterial:
     """Consume a seed stream: A words, then b, then c (gamma-bit LE words).
 
-    ``bits`` is packed bytes or a 0/1 array.  The all-ones A-word reduces
-    to 0; b is forced odd by setting its least-significant bit (logged
-    when coerced).
+    ``bits`` is packed bytes or a 0/1 array.  An all-ones A-word is kept,
+    as the ring products take 2^gamma - 1 as 0; b is forced odd by
+    setting its least-significant bit (logged when coerced).
     """
     gamma = params.gamma
     need, have = required_seed_bits(params), bitio.bit_count(bits)
@@ -125,7 +122,6 @@ def seed_from_bits(bits, params: PaParams) -> SeedMaterial:
         raise LengthMismatch(f"seed stream has {have} bits, need {need}")
     words = bigint.Words(bits, gamma, need // gamma)
     A = words[:params.seed_words]
-    A.zero_all_ones()
     mh = None
     if params.l_prime > 0:
         b, c = words[params.seed_words:].ints()

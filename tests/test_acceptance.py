@@ -6,6 +6,7 @@ whole module is sized to finish well inside the stated budgets.
 """
 
 import functools
+import hashlib
 import os
 import time
 
@@ -19,6 +20,11 @@ from qpa.errors import AllOnesBlock
 FULL_GAMMA = 756839
 FULL_N = 10 ** 8
 FULL_L = 10 ** 7
+# sha256 of the full-scale key, computed once with perfbench/reference.py's
+# plain-int distill_reference on full_scale_input's bytes (1862 CPython
+# products).  A mismatch is a defect in distill or in the reference: never
+# regenerate it to make a change pass.
+FULL_KEY_SHA256 = "f303e1b9afc7f4441ae896d0e44a66d0d76b99fc63fcf5d356bde2bb0b7dbab1"
 
 
 def report(num, ok, detail):
@@ -41,14 +47,18 @@ def make_instance(rng, params):
         return x, seed
 
 
+def shake_bytes(label: bytes, nbits: int) -> bytes:
+    """ceil(nbits / 8) bytes of shake_256(label): fixed by the standard, unlike numpy's streams."""
+    return hashlib.shake_256(label).digest(-(-nbits // 8))
+
+
 @functools.lru_cache(maxsize=None)
 def full_scale_input():
-    rng = np.random.default_rng(756839)
-    x = rng.integers(0, 2, size=FULL_N, dtype=np.uint8)
+    """The packed key and its seed, from shake_256 of fixed labels."""
     params = pipeline.plan(FULL_N, FULL_L, FULL_GAMMA)
-    seed_bits = rng.integers(0, 2, size=pipeline.required_seed_bits(params),
-                             dtype=np.uint8)
-    seed = pipeline.seed_from_bits(seed_bits, params)
+    x = shake_bytes(b"qpa full-scale key", FULL_N)
+    seed = pipeline.seed_from_bits(
+        shake_bytes(b"qpa full-scale seed", pipeline.required_seed_bits(params)), params)
     return x, seed, params
 
 
@@ -222,8 +232,7 @@ def test_criterion_6_full_scale_linearity():
     start = time.perf_counter()
     x1, seed, params = full_scale_input()
     p = params.mersenne.p
-    rng = np.random.default_rng(6)
-    x2 = rng.integers(0, 2, size=FULL_N, dtype=np.uint8)
+    x2 = shake_bytes(b"qpa full-scale second key", FULL_N)
     b1 = pipeline.split_and_pad(x1, params.mersenne)
     b2 = pipeline.split_and_pad(x2, params.mersenne)
     summed = bigint.Words.from_ints(
@@ -246,14 +255,13 @@ def test_criterion_6_full_scale_linearity():
 
 
 def test_criterion_7_determinism():
-    reference, _, _ = full_scale_run(os.cpu_count() or 1)
-    ok = True
-    for workers in (1, 4):
-        out, _, _ = full_scale_run(workers)
-        ok = ok and out == reference
+    counts = (1, 4, os.cpu_count() or 1)
+    digests = {w: hashlib.sha256(full_scale_run(w)[0]).hexdigest() for w in counts}
+    ok = set(digests.values()) == {FULL_KEY_SHA256}
     report(7, ok,
-           f"full-scale output byte-identical across worker counts "
-           f"(1, 4, {os.cpu_count() or 1})")
+           f"full-scale key's sha256 equals the plain-int reference's "
+           f"{FULL_KEY_SHA256[:16]}... at worker counts {counts}"
+           + ("" if ok else f", got {digests}"))
 
 
 def test_criterion_8_arbitrary_output_lengths():

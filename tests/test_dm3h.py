@@ -42,11 +42,26 @@ def test_all_ones_rejected_with_indices():
     assert info.value.indices == [2, 3]
 
 
-def test_all_ones_zero_policy():
-    params = MersenneParams(7)
-    bv = dm3h.split_and_pad(np.ones(14, dtype=np.uint8), params,
-                            all_ones_policy="zero")
-    assert bv.ints() == [0, 0]
+def test_all_ones_zero_policy(caplog):
+    # blocks 1 and 3 of four are all ones: the rows keep their bits, and
+    # the key is that of the same input with those blocks zeroed
+    params = pipeline.plan(28, 17, 7)
+    rng = np.random.default_rng(7)
+    x = rng.integers(0, 2, size=params.N, dtype=np.uint8)
+    x[6::7] = 0   # no other block is all ones
+    x[:7] = x[14:21] = 1
+    zeroed = x.copy()
+    zeroed[:7] = zeroed[14:21] = 0
+    bv = dm3h.split_and_pad(x, params.mersenne, all_ones_policy="zero")
+    assert bv.ints()[0] == bv.ints()[2] == 127
+    assert "substituting zero for all-ones blocks [1, 3]" in caplog.text
+    seed = pipeline.seed_from_bits(
+        rng.integers(0, 2, size=pipeline.required_seed_bits(params), dtype=np.uint8),
+        params)
+    expected = oracle.naive_distill(zeroed, seed, params)
+    assert np.array_equal(pipeline.distill(zeroed, seed, params), expected)
+    assert np.array_equal(
+        pipeline.distill(x, seed, params, all_ones_policy="zero"), expected)
 
 
 def test_unknown_all_ones_policy_is_rejected():
@@ -138,10 +153,21 @@ def test_pass_order_independence():
 
 
 def test_seed_ingestion_maps_all_ones_to_zero():
+    # a_1 is all ones: the seed keeps its bits, and every key is that of
+    # the seed with a_1 = 0
     params = pipeline.plan(14, 14, 7)
     assert params.seed_words == 3
-    stream = bitio.bits_from_int(127 | 126 << 7, 21)
-    assert pipeline.seed_from_bits(stream, params).A.ints() == [0, 126, 0]
+    seed = pipeline.seed_from_bits(bitio.bits_from_int(127 | 126 << 7, 21), params)
+    zeroed = pipeline.seed_from_bits(bitio.bits_from_int(126 << 7, 21), params)
+    assert seed.A.ints() == [127, 126, 0]
+    assert zeroed.A.ints() == [0, 126, 0]
+    for x1, x2 in ((1, 0), (0, 1), (5, 3), (126, 126)):
+        x = bitio.bits_from_int(x1 | x2 << 7, 14)
+        expected = oracle.naive_distill(x, zeroed, params)
+        # y_1 = 126 * x2 and y_2 = 126 * x1 (mod 127)
+        assert bitio.bytes_from_bits(expected) == (
+            (126 * x2 % 127) | (126 * x1 % 127) << 7).to_bytes(2, "little")
+        assert np.array_equal(pipeline.distill(x, seed, params), expected)
 
 
 def test_universality_bound_small():

@@ -97,8 +97,16 @@ def test_seed_from_bits_reads_bytes_like_bits():
         data[-1] |= 0xFF << (need % 8) & 0xFF
         from_bytes = pipeline.seed_from_bits(bytes(data) + b"\xff" * 3, params)
         assert from_bytes.A.ints() == from_bits.A.ints()
-        assert from_bits.A.ints()[0] == 0
+        assert from_bits.A.ints()[0] == 127
         assert from_bytes.mh == from_bits.mh
+        # the all-ones a_1 hashes as 0: both keys are those of a_1 = 0
+        bits[:7] = 0
+        zeroed = pipeline.seed_from_bits(bits, params)
+        x = rng.integers(0, 2, size=params.N, dtype=np.uint8)
+        x[::7] = 0   # no block is all ones
+        expected = oracle.naive_distill(x, zeroed, params)
+        for seed in (from_bits, from_bytes):
+            assert np.array_equal(pipeline.distill(x, seed, params), expected)
         short = bitio.bytes_from_bits(bits)[:need // 8 - 1]
         with pytest.raises(LengthMismatch):
             pipeline.seed_from_bits(short, params)
@@ -145,6 +153,51 @@ def test_distill_matches_naive(gamma, N, l):
         fast = pipeline.distill(x, seed, params)
         assert len(fast) == l
         assert np.array_equal(fast, oracle.naive_distill(x, seed, params))
+
+
+# gamma, blocks, output bits, workers, transform length and the engine's B
+# (0: the MAC)
+ALL_ONES_PLANS = [
+    (127, 70, 13 * 127 + 50, 1, 16, 32),
+    (127, 70, 13 * 127 + 50, 2, 16, 32),
+    (19937, 133, 13 * 19937 + 77, 2, 1024, 32),
+    (756839, 3, 2 * 756839 + 5, 1, 65536, 0),
+]
+
+
+@pytest.mark.parametrize("gamma,n,l,workers,length,block", ALL_ONES_PLANS)
+def test_all_ones_rows_hash_as_zero(gamma, n, l, workers, length, block, monkeypatch):
+    """Key blocks and A-words of gamma ones give the key of the input with them zeroed.
+
+    No row is rewritten: each reads as 2^gamma - 1, which the ring
+    products, exact modulo 2^gamma - 1, take as 0.
+    """
+    fake_cpus(monkeypatch, workers)
+    params = pipeline.plan(n * gamma, l, gamma)
+    assert bigint.transform_shape(gamma, n)[0] == length
+    assert engines.block_size(-(-n // workers), params.pass_count) == block
+    rng = np.random.default_rng(gamma + workers)
+    x = rng.integers(0, 2, size=params.N, dtype=np.uint8)
+    seed_bits = rng.integers(0, 2, size=pipeline.required_seed_bits(params), dtype=np.uint8)
+    zeroed_x, zeroed_bits = x.copy(), seed_bits.copy()
+    words = params.seed_words
+    for bits, zeroed, rows in ((x, zeroed_x, (0, n - 1)),
+                               (seed_bits, zeroed_bits, (0, words // 2, words - 1))):
+        for r in rows:
+            bits[r * gamma:(r + 1) * gamma] = 1
+            zeroed[r * gamma:(r + 1) * gamma] = 0
+    seed = pipeline.seed_from_bits(seed_bits, params)
+    zeroed_seed = pipeline.seed_from_bits(zeroed_bits, params)
+    assert seed.A[words - 1:].ints() == [(1 << gamma) - 1]
+    expected = pipeline.distill(zeroed_x, zeroed_seed, params, workers=workers)
+    with pytest.raises(AllOnesBlock) as info:
+        pipeline.distill(x, seed, params, workers=workers)
+    assert info.value.indices == [1, n]
+    got = pipeline.distill(x, seed, params, workers=workers, all_ones_policy="zero")
+    assert np.array_equal(got, expected)
+    # the oracle's bit lists take half a minute at gamma 756839
+    if gamma < 10 ** 5:
+        assert np.array_equal(expected, oracle.naive_distill(zeroed_x, zeroed_seed, params))
 
 
 def test_output_length_always_l():
