@@ -18,10 +18,11 @@ whole sum is exact in the spectrum and costs one inverse transform.
 So ``transform_shape`` picks, once per plan, the shortest L whose
 bound holds for the plan's n rows: L = 1024 with 20-bit digits for
 n = 133 at gamma 19937, and L = 65536 with 12-bit digits at gamma
-756839, where L = 32768 holds one row.  The lengths 3 * 2^k would need
-theta^L = 2 with 3 | L, that is 2 a cube modulo p, and it is not.
-Every other function takes L from the width of the spectra it is
-given.
+756839, where L = 32768 holds one row.  The bound also sets the widest
+gamma, 23 * 65536: past it not one product is exact (``InvalidGamma``).
+The lengths 3 * 2^k would need theta^L = 2 with 3 | L, that is 2 a
+cube modulo p, and it is not.  Every other function takes L from the
+width of the spectra it is given.
 
 ``Words`` is the one form of gamma-bit rows: one packed bit stream,
 kept as 64-bit words, whose row r starts at bit r*gamma.  Every reader
@@ -54,16 +55,13 @@ import numpy as np
 
 from . import bitio, engines, ntt
 from . import goldilocks as gl
-from .errors import OperandTooLarge, TooManyBlocks
+from .errors import InvalidGamma, OperandTooLarge, TooManyBlocks
 from .mersenne import fold
 
 _U64 = np.uint64
 _M32 = _U64(0xFFFFFFFF)
 
 # -- weighted Mersenne transform ---------------------------------------------
-
-# the widest gamma a plan takes: 12-bit digits at the longest length
-MAX_GAMMA = 12 * ntt.SUPPORTED_LENGTHS[-1]  # 786432
 
 # words of realigned rows the all-ones test holds at once
 _TEST_WORDS = 1 << 16
@@ -85,14 +83,18 @@ def transform_shape(gamma: int, rows: int) -> tuple[int, int]:
     """(L, b): the shortest length whose pass sums ``rows`` products exactly, and its digit width.
 
     A plan picks it once from its total row count, so every range and
-    pass of the plan runs at the same L.
+    pass of the plan runs at the same L.  This is the one check of which
+    (gamma, rows) pairs a plan takes.
     """
-    if gamma > MAX_GAMMA:
-        raise OperandTooLarge(f"gamma {gamma} exceeds {MAX_GAMMA} bits")
     for length in ntt.SUPPORTED_LENGTHS:
         if max(rows, 1) <= _row_limit(length, gamma):
             return length, -(-gamma // length)
-    raise TooManyBlocks(f"{rows} blocks exceed the {max_rows(gamma)} a pass "
+    limit = max_rows(gamma)
+    if limit == 0:
+        raise InvalidGamma(f"gamma {gamma} is too wide: no length up to "
+                           f"{ntt.SUPPORTED_LENGTHS[-1]} keeps one product's "
+                           f"2L(2^b - 1)^2 below the field modulus")
+    raise TooManyBlocks(f"{rows} blocks exceed the {limit} a pass "
                         f"sums exactly at gamma {gamma}")
 
 

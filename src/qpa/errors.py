@@ -18,7 +18,7 @@ class LengthMismatch(QpaError):
 
 
 class OperandTooLarge(QpaError):
-    """A gamma too wide for the transform (or for a given length), or a limb product too long."""
+    """A gamma too wide for a given transform length, or a limb product too long."""
 
 
 class AllOnesBlock(QpaError):
@@ -45,7 +45,7 @@ class InvalidRatio(QpaError):
 
 
 class InvalidGamma(QpaError):
-    """Exponent is not a known Mersenne-prime exponent or exceeds the transform."""
+    """Exponent is not a known Mersenne-prime exponent, or no transform length sums one product exactly."""
 
 
 class InvalidWorkers(QpaError):

@@ -18,7 +18,8 @@ SMALL_EXPONENTS = frozenset({
     3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243,
 })
 
-# Production-scale exponents (the hardware-relevant range).
+# Production-scale exponents; plan() takes those up to 1398269, as from
+# 2976221 up no transform length sums one product exactly.
 LARGE_EXPONENTS = frozenset({
     110503, 132049, 216091, 756839, 859433, 1257787, 1398269, 2976221,
     3021377, 6972593, 13466917, 20996011, 24036583, 25964951, 30402457,

@@ -68,15 +68,13 @@ def naive_ntt_inverse(X) -> np.ndarray:
 
 
 def _bits_to_int(bits) -> int:
-    value = 0
-    for i, bit in enumerate(bits):
-        if bit:
-            value |= 1 << i
-    return value
+    """Little-endian 0/1 ints read as one binary numeral, in linear time."""
+    return int("".join(map(str, reversed(bits))), 2)
 
 
 def _int_to_bits(value: int, width: int) -> list[int]:
-    return [(value >> i) & 1 for i in range(width)]
+    """The ``width`` low bits of a value below 2^width, least significant first."""
+    return [int(c) for c in reversed(format(value, f"0{width}b"))]
 
 
 def naive_distill(X, seed: SeedMaterial, params: PaParams) -> np.ndarray:

@@ -41,8 +41,8 @@ import numpy as np
 from . import bigint, bitio, mmh_mh
 from . import goldilocks as gl
 from .dm3h import split_and_pad
-from .errors import (InvalidGamma, InvalidRatio, InvalidWorkers, LengthMismatch,
-                     SeedTooShort, WorkerFailed)
+from .errors import (InvalidRatio, InvalidWorkers, LengthMismatch, SeedTooShort,
+                     WorkerFailed)
 from .mersenne import MersenneParams, MersenneResidue
 from .mmh_mh import MhSeed
 
@@ -89,13 +89,10 @@ class SeedMaterial:
 def plan(N: int, l: int, gamma: int) -> PaParams:
     """Derive (n, m, l') for an N-bit input and l-bit output."""
     params = MersenneParams(gamma)  # raises InvalidGamma
-    if gamma > bigint.MAX_GAMMA:
-        raise InvalidGamma(f"gamma {gamma} exceeds the {bigint.MAX_GAMMA}-bit "
-                           f"operands of the ring product")
     if l <= 0 or l > N:
         raise InvalidRatio(f"need 0 < l <= N, got l = {l}, N = {N}")
     n = -(-N // gamma)
-    bigint.transform_shape(gamma, n)  # raises TooManyBlocks
+    bigint.transform_shape(gamma, n)  # raises InvalidGamma or TooManyBlocks
     m = l // gamma
     l_prime = l - m * gamma
     return PaParams(gamma=params.gamma, N=N, l=l, n=n, m=m, l_prime=l_prime)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qpa import bigint, bitio, dm3h, engines, ntt, oracle, pipeline
 from qpa.bigint import BigUint
-from qpa.errors import AllOnesBlock, OperandTooLarge, TooManyBlocks
+from qpa.errors import AllOnesBlock, InvalidGamma, OperandTooLarge, TooManyBlocks
 from qpa.goldilocks import P64
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=0, max_size=200).map(
@@ -222,9 +222,11 @@ def test_transform_shape_and_row_limit():
     # the headline's gamma: L = 32768 takes 24-bit digits and sums one row
     assert bigint.transform_shape(756839, 1) == (32768, 24)
     assert bigint.transform_shape(756839, 133) == (65536, 12)
-    assert bigint.transform_shape(bigint.MAX_GAMMA, 2) == (65536, 12)
-    with pytest.raises(OperandTooLarge):
-        bigint.transform_shape(bigint.MAX_GAMMA + 1, 1)
+    assert bigint.transform_shape(786432, 2) == (65536, 12)
+    # no length sums even one product of 46-bit digits exactly
+    assert bigint.max_rows(2976221) == 0
+    with pytest.raises(InvalidGamma):
+        bigint.transform_shape(2976221, 1)
     # n products of coefficients below 2L(2^b - 1)^2 stay below p
     assert bigint.max_rows(756839) == 8392705
     assert 8392705 * 2 * 65536 * 4095 ** 2 < P64 <= 8392706 * 2 * 65536 * 4095 ** 2
@@ -233,7 +235,8 @@ def test_transform_shape_and_row_limit():
 
 
 @pytest.mark.parametrize("gamma,length,width", [
-    (521, 32, 17), (19937, 1024, 20), (44497, 2048, 22), (756839, 65536, 12)])
+    (521, 32, 17), (19937, 1024, 20), (44497, 2048, 22), (756839, 65536, 12),
+    (859433, 65536, 14), (1257787, 65536, 20), (1398269, 65536, 22)])
 def test_row_limit_picks_the_next_length(gamma, length, width):
     # with every digit at 2^b - 1, each coefficient of a row product is
     # below 2L(2^b - 1)^2: ``limit`` rows of them stay below p, one more
@@ -247,6 +250,24 @@ def test_row_limit_picks_the_next_length(gamma, length, width):
     else:
         with pytest.raises(TooManyBlocks):
             bigint.transform_shape(gamma, limit + 1)
+
+
+def test_widest_shape_sums_two_rows():
+    # 23-bit digits at L = 65536: two worst-case rows stay below p, three
+    # do not, and a gamma one bit wider has no exact product at all
+    gamma, worst = 23 * 65536, 2 * 65536 * ((1 << 23) - 1) ** 2
+    assert 2 * worst < P64 <= 3 * worst
+    assert bigint.transform_shape(gamma, 2) == (65536, 23)
+    assert bigint.max_rows(gamma) == 2
+    with pytest.raises(InvalidGamma):
+        bigint.transform_shape(gamma + 1, 1)
+    # a = p - 1 fills every digit but the lowest bit; modulo p, a = -1
+    p = (1 << gamma) - 1
+    b = int.from_bytes(np.random.default_rng(23).bytes(gamma // 8), "little")
+    a = bigint.Words.from_ints([p - 1, p - 1], gamma)
+    assert bigint.dot(a[:1], bigint.Words.from_ints([b], gamma)) == p - b
+    # (p - 1)^2 + (p - 1) * b = 1 - b
+    assert bigint.dot(a, bigint.Words.from_ints([p - 1, b], gamma)) == (1 - b) % p
 
 
 @pytest.mark.parametrize("length", ntt.SUPPORTED_LENGTHS)

@@ -38,6 +38,13 @@ def test_plan_output(capsys):
     assert "n         = 133" in out
     assert "L         = 1024" in out
     assert "b         = 20" in out
+    # the 1e8-bit headline at gamma 1257787: 80 blocks of 20-bit digits
+    assert run(["plan", "--in-bits", 10 ** 8, "--out-bits", 10 ** 7,
+                "--gamma-exp", 1257787]) == 0
+    out = capsys.readouterr().out
+    assert "n         = 80" in out
+    assert "L         = 65536" in out
+    assert "b         = 20" in out
     # one pass over 40 rows takes the MAC: 16 key rows, 16 seed rows and
     # the pass row
     assert run(["plan", "--in-bits", 40 * 756839, "--out-bits", 100]) == 0
@@ -71,9 +78,10 @@ def test_plan_invalid_params(capsys):
                 "--gamma-exp", 7]) == cli.EXIT_PARAM
     assert run(["plan", "--in-bits", 100, "--out-bits", 10,
                 "--gamma-exp", 8]) == cli.EXIT_PARAM
-    # a Mersenne exponent too wide for the multiplier fails at plan time
-    assert run(["plan", "--in-bits", 10 ** 6, "--out-bits", 10 ** 5,
-                "--gamma-exp", 859433]) == cli.EXIT_PARAM
+    # a Mersenne exponent too wide for one exact product fails at plan time
+    assert run(["plan", "--in-bits", 10 ** 7, "--out-bits", 10 ** 5,
+                "--gamma-exp", 2976221]) == cli.EXIT_PARAM
+    assert "2L(2^b - 1)^2 below the field modulus" in capsys.readouterr().err
     assert run(["plan", "--in-bits", 10 ** 6, "--out-bits", 10 ** 5,
                 "--gamma-exp", 756839]) == cli.EXIT_OK
     # one block more than a pass can sum exactly

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpa import bigint, bitio, engines, ntt, oracle, pipeline
+from qpa import bigint, bitio, engines, mersenne, ntt, oracle, pipeline
 from qpa.errors import (AllOnesBlock, InvalidGamma, InvalidRatio,
                         InvalidWorkers, LengthMismatch, SeedTooShort,
                         TooManyBlocks, WorkerFailed)
@@ -49,10 +49,11 @@ def test_plan_validation():
         pipeline.plan(100, 101, 7)
     with pytest.raises(InvalidGamma):
         pipeline.plan(100, 10, 8)
-    # a known exponent whose blocks overflow the largest transform
+    # a known exponent too wide for one product at any transform length
     with pytest.raises(InvalidGamma):
-        pipeline.plan(10 ** 6, 10 ** 5, 859433)
+        pipeline.plan(10 ** 7, 10 ** 5, 2976221)
     assert pipeline.plan(10 ** 6, 10 ** 5, 756839).n == 2
+    assert pipeline.plan(10 ** 6, 10 ** 5, 859433).n == 2
 
 
 def test_plan_block_limit():
@@ -62,6 +63,19 @@ def test_plan_block_limit():
     assert pipeline.plan(n_max * 756839, 10 ** 6, 756839).n == n_max
     with pytest.raises(TooManyBlocks):
         pipeline.plan(n_max * 756839 + 1, 10 ** 6, 756839)
+
+
+@pytest.mark.parametrize("gamma", sorted(mersenne.KNOWN_EXPONENTS))
+def test_plan_limits_follow_the_coefficient_bound(gamma):
+    # the widest gamma and the most blocks both come from max_rows
+    n_max = bigint.max_rows(gamma)
+    if n_max == 0:
+        with pytest.raises(InvalidGamma):
+            pipeline.plan(gamma, gamma, gamma)
+        return
+    assert pipeline.plan(n_max * gamma, gamma, gamma).n == n_max
+    with pytest.raises(TooManyBlocks):
+        pipeline.plan(n_max * gamma + 1, gamma, gamma)
 
 
 def test_required_seed_bits_examples():
@@ -195,9 +209,60 @@ def test_all_ones_rows_hash_as_zero(gamma, n, l, workers, length, block, monkeyp
     assert info.value.indices == [1, n]
     got = pipeline.distill(x, seed, params, workers=workers, all_ones_policy="zero")
     assert np.array_equal(got, expected)
-    # the oracle's bit lists take half a minute at gamma 756839
+    # the oracle takes seconds at gamma 756839, where
+    # test_distill_matches_naive_at_the_production_gamma runs it once
     if gamma < 10 ** 5:
         assert np.array_equal(expected, oracle.naive_distill(zeroed_x, zeroed_seed, params))
+
+
+def test_distill_matches_naive_at_the_production_gamma(monkeypatch):
+    # a mixed plan of 3 blocks at L = 65536, one oracle key for both
+    # worker counts
+    fake_cpus(monkeypatch, 2)
+    gamma = 756839
+    params = pipeline.plan(3 * gamma, 2 * gamma + 5, gamma)
+    x, seed = random_instance(np.random.default_rng(3), params)
+    expected = oracle.naive_distill(x, seed, params)
+    for workers in (1, 2):
+        assert np.array_equal(pipeline.distill(x, seed, params, workers=workers), expected)
+
+
+def packed(values, gamma):
+    """Packed little-endian bytes of gamma-bit values, the first lowest."""
+    total = sum(v << (k * gamma) for k, v in enumerate(values))
+    return total.to_bytes(-(-len(values) * gamma // 8), "little")
+
+
+def mersenne_residue(v, gamma):
+    """v modulo 2^gamma - 1 in linear time, all ones read as 0, apart from the fold distill uses."""
+    p = (1 << gamma) - 1
+    while v > p:
+        v = (v & p) + (v >> gamma)
+    return 0 if v == p else v
+
+
+@pytest.mark.parametrize("gamma,n,width", [(859433, 4, 14), (1257787, 5, 20),
+                                           (1398269, 8, 22)])
+def test_distill_is_exact_at_the_widest_exponents(gamma, n, width, monkeypatch):
+    # exponents past the 12-bit digits of L = 65536, each with a mixed
+    # plan (one full pass and a 5-bit tail), against plain-int sums;
+    # 8 blocks are the most that 22-bit digits sum exactly
+    fake_cpus(monkeypatch, 2)
+    params = pipeline.plan(n * gamma, gamma + 5, gamma)
+    assert bigint.transform_shape(gamma, n) == (65536, width)
+    assert n <= bigint.max_rows(gamma)
+    p = (1 << gamma) - 1
+    rng = np.random.default_rng(gamma)
+    xs, coeffs = ([int.from_bytes(rng.bytes(gamma // 8 + 1), "little") % p for _ in range(k)]
+                  for k in (n, params.seed_words + 2))
+    seed = pipeline.seed_from_bits(packed(coeffs, gamma), params)
+    y1, y2 = (mersenne_residue(sum(v * coeffs[k + i] for k, v in enumerate(xs)), gamma)
+              for i in range(2))
+    b, c = coeffs[-2] | 1, coeffs[-1]
+    z = ((b * y2 + c) & p) >> (gamma - 5)  # & p: modulo 2^gamma
+    for workers in (1, 2):
+        key = pipeline.distill(packed(xs, gamma), seed, params, workers=workers)
+        assert bitio.bytes_from_bits(key) == (y1 | z << gamma).to_bytes(-(-params.l // 8), "little")
 
 
 def test_output_length_always_l():
