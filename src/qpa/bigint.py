@@ -49,6 +49,7 @@ coefficient is < 32768 * (2^24 - 1)^2 < 2^63.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,30 +130,24 @@ class _Layout:
     classes: int          # digits this far apart are >= 64 bits apart
 
 
-_layout_cache: dict[tuple[int, int], _Layout] = {}
-
-
+@functools.cache
 def _layout(gamma: int, length: int) -> _Layout:
     """The layout of spectra ``length`` values wide; its pass must sum at least one product."""
-    lay = _layout_cache.get((gamma, length))
-    if lay is None:
-        if length not in ntt.SUPPORTED_LENGTHS or _row_limit(length, gamma) < 1:
-            raise OperandTooLarge(f"gamma {gamma} does not fit a length-{length} transform")
-        j = np.arange(length + 1, dtype=np.int64)
-        e = -((-j * gamma) // length)
-        exponent = length * e[:-1] - j[:-1] * gamma   # in [0, L)
-        theta = _theta(length)
-        low = gamma // length
-        lay = _Layout(
-            gamma=gamma, length=length,
-            mask=((1 << np.diff(e)) - 1).astype(_U64),
-            weight=gl.halves(gl.powers(theta, length)[exponent]),
-            unweight=gl.powers(pow(theta, -1, gl.P64), length)[exponent],
-            word=e[:-1] >> 6,
-            bit=(e[:-1] & 63).astype(_U64),
-            classes=min(length, -(-64 // low)) if low else length)
-        _layout_cache[gamma, length] = lay
-    return lay
+    if length not in ntt.SUPPORTED_LENGTHS or _row_limit(length, gamma) < 1:
+        raise OperandTooLarge(f"gamma {gamma} does not fit a length-{length} transform")
+    j = np.arange(length + 1, dtype=np.int64)
+    e = -((-j * gamma) // length)
+    exponent = length * e[:-1] - j[:-1] * gamma   # in [0, L)
+    theta = _theta(length)
+    low = gamma // length
+    return _Layout(
+        gamma=gamma, length=length,
+        mask=((1 << np.diff(e)) - 1).astype(_U64),
+        weight=gl.halves(gl.powers(theta, length)[exponent]),
+        unweight=gl.powers(pow(theta, -1, gl.P64), length)[exponent],
+        word=e[:-1] >> 6,
+        bit=(e[:-1] & 63).astype(_U64),
+        classes=min(length, -(-64 // low)) if low else length)
 
 
 def _weighted_digits(words: np.ndarray, lay: _Layout, out: np.ndarray) -> None:
@@ -513,4 +508,4 @@ def _testing_corrupt_weight(gamma: int, length: int) -> None:
 
 
 def _testing_clear_cache() -> None:
-    _layout_cache.clear()
+    _layout.cache_clear()

@@ -47,9 +47,11 @@ def block_size(rows: int, passes: int) -> int:
     passes 49 / 55 ms, 30 and 14 65 / 64 ms, 67 and 14 107 / 93 ms,
     24 rows and 20 passes 48 / 57 ms.  At L = 1024, with 14 passes,
     medians of 7: 30 rows 19.3 / 25.4 ms, 67 rows 32.9 / 33.4 ms, 133
-    rows 59.6 / 52.7 ms, so the crossover moves little.  B is the
-    shortest of ``_BLOCK_SIZES`` that takes every pass in one group,
-    else the longest.
+    rows 59.6 / 52.7 ms, so the crossover moves from about 30 rows at
+    L = 4096 to about 67 at 1024, and the rule puts 32-66-row ranges at
+    L = 1024 on the block engine where the MAC is as fast or faster.  B
+    is the shortest of ``_BLOCK_SIZES`` that takes every pass in one
+    group, else the longest.
     """
     if passes < _BLOCK_PASSES or rows < max(_BLOCK_ROWS, _BLOCK_PRODUCTS // passes):
         return 0

@@ -34,6 +34,8 @@ of canonical ``numpy.uint64`` values.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import goldilocks as gl
@@ -55,18 +57,14 @@ _CHUNK_ELEMS = 1 << 18
 _PIECE = _CHUNK_ELEMS // 16
 
 
-def bit_reversal(size: int) -> list[int]:
+@functools.cache
+def bit_reversal(size: int) -> tuple[int, ...]:
     """rev(0) .. rev(size - 1): each index with its log2(size) bits reversed."""
     bits = size.bit_length() - 1
-    return [int(f"{i:0{bits}b}"[::-1], 2) for i in range(size)]
+    return tuple(int(f"{i:0{bits}b}"[::-1], 2) for i in range(size))
 
 
-# the bit reversal of each stage's radix
-_REV = {radix: bit_reversal(radix) for radix in (2, 4, 8, 16)}
-
-_twiddle_cache: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _twiddle_table(length: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
     """Inter-stage twiddles w^(rev(p)*n) for p < 16, n < length/16.
 
@@ -74,20 +72,13 @@ def _twiddle_table(length: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
     bit-reversed order.  The table is kept as its 32-bit halves, shaped
     (16, length/16, 1) so a row broadcasts over the batch axis.
     """
-    key = (length, inverse)
-    table = _twiddle_cache.get(key)
-    if table is None:
-        w = gl.root_of_unity(length)
-        powers = gl.powers(pow(w, -1, gl.P64) if inverse else w, length)
-        n = np.arange(length // 16)
-        table = gl.halves(powers[np.outer(_REV[16], n) % length, None])
-        _twiddle_cache[key] = table
-    return table
+    w = gl.root_of_unity(length)
+    powers = gl.powers(pow(w, -1, gl.P64) if inverse else w, length)
+    n = np.arange(length // 16)
+    return gl.halves(powers[np.outer(bit_reversal(16), n) % length, None])
 
 
-_butterfly_cache: dict[tuple[int, bool], list[list]] = {}
-
-
+@functools.cache
 def _butterflies(size: int, inverse: bool) -> list[list]:
     """[r, r + h, flip, shift] for each butterfly of a size-point transform, in order.
 
@@ -98,20 +89,16 @@ def _butterflies(size: int, inverse: bool) -> list[list]:
     the difference to b - a and shifts by (size/2 - k) * 192/size.
     Every shift is below 96, and shift 0 is a unit twiddle.
     """
-    key = (size, inverse)
-    table = _butterfly_cache.get(key)
-    if table is None:
-        unit, half = 192 // size, size // 2
-        table = []
-        h = half
-        while h:
-            for r in range(size):
-                if not r & h:
-                    k = (r % h) * (half // h)
-                    flip = inverse and k > 0
-                    table.append([r, r + h, flip, unit * (half - k if flip else k)])
-            h //= 2
-        _butterfly_cache[key] = table
+    unit, half = 192 // size, size // 2
+    table = []
+    h = half
+    while h:
+        for r in range(size):
+            if not r & h:
+                k = (r % h) * (half // h)
+                flip = inverse and k > 0
+                table.append([r, r + h, flip, unit * (half - k if flip else k)])
+        h //= 2
     return table
 
 
@@ -193,7 +180,7 @@ def _transform(d: np.ndarray, spare: np.ndarray, row_spare: np.ndarray,
     z = spare.reshape(cols, 16, m)
     lo, hi = _twiddle_table(length, inverse)
     shaped = tuple(t.reshape(cols, m) for t in flat)
-    for p, q in enumerate(_REV[16]):
+    for p, q in enumerate(bit_reversal(16)):
         row = rows[p].reshape(cols, m)
         if p and cols > 1:  # row 0 and the length-16 stage have unit twiddles
             gl.v_mul_halves(row, lo[p], hi[p], z[:, q, :], shaped)
@@ -219,7 +206,7 @@ def _last_stage(d: np.ndarray, spare: np.ndarray, row_spare: np.ndarray,
         width = len(d[0, part])
         rows = shift_dft(d[:, part], row_spare[:width], inverse,
                          tuple(t[:width] for t in tmp))
-        for p, q in enumerate(_REV[radix]):
+        for p, q in enumerate(bit_reversal(radix)):
             out[q, part] = rows[p]
     return out
 
@@ -316,5 +303,5 @@ def _testing_corrupt_shift(size: int) -> None:
 
 
 def _testing_clear_cache() -> None:
-    _twiddle_cache.clear()
-    _butterfly_cache.clear()
+    _twiddle_table.cache_clear()
+    _butterflies.cache_clear()

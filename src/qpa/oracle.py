@@ -77,12 +77,25 @@ def _int_to_bits(value: int, width: int) -> list[int]:
     return [int(c) for c in reversed(format(value, f"0{width}b"))]
 
 
+def _mod_mersenne(v: int, gamma: int) -> int:
+    """v mod p = 2^gamma - 1 for v >= 0 by folding: linear, where ``%`` is quadratic.
+
+    As 2^gamma = 1 modulo p, the bits above gamma add onto the low ones,
+    and p itself is 0.
+    """
+    p = (1 << gamma) - 1
+    while v > p:
+        v = (v & p) + (v >> gamma)
+    return 0 if v == p else v
+
+
 def naive_distill(X, seed: SeedMaterial, params: PaParams) -> np.ndarray:
     """Pure-Python re-derivation of the whole distillation.
 
     Pads to n*gamma bits, splits into little-endian gamma-bit blocks,
-    runs the shifted inner-product passes with plain % arithmetic, and
-    applies the affine tail with long division.
+    runs the shifted inner-product passes as plain int sums, each
+    reduced by a Mersenne fold, and applies the affine tail with a mask
+    and a shift.
     """
     gamma = params.gamma
     p = (1 << gamma) - 1
@@ -100,16 +113,17 @@ def naive_distill(X, seed: SeedMaterial, params: PaParams) -> np.ndarray:
     A = seed.A.ints()
 
     def f(i: int) -> int:
-        return sum(A[j + i - 2] * blocks[j - 1]
-                   for j in range(1, params.n + 1)) % p
+        return _mod_mersenne(sum(A[j + i - 2] * blocks[j - 1]
+                                 for j in range(1, params.n + 1)), gamma)
 
     out = []
     for i in range(1, params.m + 1):
         out.extend(_int_to_bits(f(i), gamma))
     if params.l_prime > 0:
         y = f(params.m + 1)
-        t = (seed.mh.b * y + seed.mh.c) % (1 << gamma)
-        z = t // (1 << (gamma - params.l_prime))
+        # & p is modulo 2^gamma, and >> keeps the top l' bits: no long division
+        t = (seed.mh.b * y + seed.mh.c) & p
+        z = t >> (gamma - params.l_prime)
         out.extend(_int_to_bits(z, params.l_prime))
     if len(out) != params.l:
         raise LengthMismatch(f"key has {len(out)} bits, plan expects {params.l}")

@@ -25,6 +25,10 @@ FULL_L = 10 ** 7
 # products).  A mismatch is a defect in distill or in the reference: never
 # regenerate it to make a change pass.
 FULL_KEY_SHA256 = "f303e1b9afc7f4441ae896d0e44a66d0d76b99fc63fcf5d356bde2bb0b7dbab1"
+# the same for l = N, full_scale_input(FULL_N) (17689 CPython products,
+# about 20 minutes), checked by tests/full_scale_l_equals_n.py, which the
+# default test run does not collect.  Never regenerate it either.
+FULL_KEY_L_EQUALS_N_SHA256 = "32b77361caf7fad8fa0f5373b05f6f1446089779dea6f6e6ddb845acc3e6a622"
 
 
 def report(num, ok, detail):
@@ -53,9 +57,9 @@ def shake_bytes(label: bytes, nbits: int) -> bytes:
 
 
 @functools.lru_cache(maxsize=None)
-def full_scale_input():
-    """The packed key and its seed, from shake_256 of fixed labels."""
-    params = pipeline.plan(FULL_N, FULL_L, FULL_GAMMA)
+def full_scale_input(l=FULL_L):
+    """The packed key and its seed for an l-bit output, from shake_256 of fixed labels."""
+    params = pipeline.plan(FULL_N, l, FULL_GAMMA)
     x = shake_bytes(b"qpa full-scale key", FULL_N)
     seed = pipeline.seed_from_bits(
         shake_bytes(b"qpa full-scale seed", pipeline.required_seed_bits(params)), params)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpa import bigint, bitio, dm3h, engines, ntt, oracle, pipeline
+from qpa import goldilocks as gl
 from qpa.bigint import BigUint
 from qpa.errors import AllOnesBlock, InvalidGamma, OperandTooLarge, TooManyBlocks
 from qpa.goldilocks import P64
@@ -431,3 +432,43 @@ def test_corrupt_weight_is_detected_and_cleared():
     finally:
         bigint._testing_clear_cache()
     assert product() == x * y % p
+
+
+def test_tables_are_built_once_and_rebuilt_once_after_a_clear(monkeypatch):
+    # each twiddle table and digit layout is built from goldilocks.powers
+    # on first use and kept: a repeat call builds none, and after either
+    # module's cache clear the next call builds that module's tables
+    # exactly once.  The length-256 transform's second stage is a
+    # length-16 transform, with tables of its own
+    def both_ways(base, size):
+        return [(base, size), (pow(base, -1, P64), size)]
+
+    gamma, length = 127, 256
+    twiddles = sorted(both_ways(gl.root_of_unity(length), length)
+                      + both_ways(gl.root_of_unity(16), 16))
+    weights = sorted(both_ways(bigint._theta(length), length))
+    v = np.arange(length, dtype=np.uint64)
+    x = bigint.Words.from_ints([3, 5, 7], gamma)
+    calls = []
+
+    def counted(base, count, real=gl.powers):
+        calls.append((base, count))
+        return real(base, count)
+
+    def built():
+        calls.clear()
+        ntt.ntt_forward(v)
+        ntt.ntt_inverse(v)
+        x.fill(range(len(x)), np.empty((len(x), length), dtype=np.uint64))
+        return sorted(calls)
+
+    monkeypatch.setattr(gl, "powers", counted)
+    ntt._testing_clear_cache()
+    bigint._testing_clear_cache()
+    assert built() == sorted(twiddles + weights)
+    assert built() == []
+    ntt._testing_clear_cache()
+    assert built() == twiddles
+    bigint._testing_clear_cache()
+    assert built() == weights
+    assert built() == []

@@ -61,6 +61,20 @@ def test_naive_distill_checks_input_length():
             oracle.naive_distill(x, seed, params)
 
 
+@pytest.mark.parametrize("gamma", [3, 127, 19937])
+def test_pass_sums_fold_to_their_residue(gamma):
+    # the oracle's fold against %, on the edges (p reads as 0) and on
+    # random sums wider than 2 * gamma, as a pass of many rows makes
+    p = (1 << gamma) - 1
+    rng = np.random.default_rng(gamma)
+    sums = [0, 1, p - 1, p, p + 1, 2 * p, 7 * p, p * p, p << gamma]
+    sums += [int.from_bytes(rng.bytes(-(-width // 8)), "little")
+             for width in (2 * gamma + 1, 2 * gamma + 8, 5 * gamma)]
+    assert any(v.bit_length() > 2 * gamma for v in sums[-3:])
+    for v in sums:
+        assert oracle._mod_mersenne(v, gamma) == v % p
+
+
 def test_census_examples_and_limits():
     assert oracle.collision_census(3, 3, 1, (1, 2, 3), (1, 2, 4)) <= 49
     with pytest.raises(ValueError):

@@ -233,14 +233,6 @@ def packed(values, gamma):
     return total.to_bytes(-(-len(values) * gamma // 8), "little")
 
 
-def mersenne_residue(v, gamma):
-    """v modulo 2^gamma - 1 in linear time, all ones read as 0, apart from the fold distill uses."""
-    p = (1 << gamma) - 1
-    while v > p:
-        v = (v & p) + (v >> gamma)
-    return 0 if v == p else v
-
-
 @pytest.mark.parametrize("gamma,n,width", [(859433, 4, 14), (1257787, 5, 20),
                                            (1398269, 8, 22)])
 def test_distill_is_exact_at_the_widest_exponents(gamma, n, width, monkeypatch):
@@ -256,7 +248,7 @@ def test_distill_is_exact_at_the_widest_exponents(gamma, n, width, monkeypatch):
     xs, coeffs = ([int.from_bytes(rng.bytes(gamma // 8 + 1), "little") % p for _ in range(k)]
                   for k in (n, params.seed_words + 2))
     seed = pipeline.seed_from_bits(packed(coeffs, gamma), params)
-    y1, y2 = (mersenne_residue(sum(v * coeffs[k + i] for k, v in enumerate(xs)), gamma)
+    y1, y2 = (oracle._mod_mersenne(sum(v * coeffs[k + i] for k, v in enumerate(xs)), gamma)
               for i in range(2))
     b, c = coeffs[-2] | 1, coeffs[-1]
     z = ((b * y2 + c) & p) >> (gamma - 5)  # & p: modulo 2^gamma
