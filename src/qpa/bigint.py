@@ -35,7 +35,7 @@ shifted row sums, the correlation of the key rows with the seed rows,
 in steps of a fixed number of key rows (Stockham's sectioned
 convolution, AFIPS SJCC 28, 1966), so its memory does not grow with
 the number of rows.  It keeps the windows, the fills and the seed-row
-moves; the range's ``engines.engine`` sums each step's products.
+moves; the engine its caller passes in sums each step's products.
 ``to_ints`` runs one inverse transform per sum and folds it to its
 canonical residue in [0, 2^gamma - 2], so no caller reduces, and
 ``dot`` is the one-pass case.
@@ -307,7 +307,7 @@ def _int_from_coefficients(coeffs: np.ndarray, lay: _Layout) -> int:
     return total
 
 
-def _steps(section: int, rows: int, length: int) -> tuple[int, int]:
+def steps(section: int, rows: int, length: int) -> tuple[int, int]:
     """(S, K): the key rows per step and in the window, for sections of ``section`` rows.
 
     A step holds up to a transform batch, or 16 rows.  Steps are of
@@ -318,49 +318,31 @@ def _steps(section: int, rows: int, length: int) -> tuple[int, int]:
     batch = ntt.batch_rows(length)
     step = max(batch, 16)
     total = -(-rows // section)
-    steps = max(1, -(-total // max(1, step // section)))
-    keys = max(1, -(-total // steps)) * section
+    count = max(1, -(-total // max(1, step // section)))
+    keys = max(1, -(-total // count)) * section
     if section < batch < step:
         keys = -(-keys // batch) * batch
     return keys, -(-min(keys, max(rows, 1)) // section) * section
 
 
-def working_set(length: int, rows: int, passes: int) -> int:
-    """Bytes of spectra and engine buffers ``pass_spectra`` holds for ``rows`` key rows.
-
-    The key and seed windows hold K rows and K + passes - 1 rows, the
-    output ``passes`` rows, and the engine its ``buffer_bytes``, kernel
-    temporaries not counted.  None grows with ``rows`` past a step.
-    """
-    engine = engines.engine(rows, passes)
-    window = _steps(engine.section, rows, length)[1]
-    return (8 * (2 * window + 2 * passes - 1) * length
-            + engine.buffer_bytes(window, length))
-
-
-def pass_spectra(x: Words, seed_fill, passes: int, start: int = 0,
-                 stop: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def pass_spectra(x: Words, seed_fill, engine, out: np.ndarray, start: int = 0,
+                 stop: int | None = None) -> np.ndarray:
     """Add the spectra of sum_j x[j] * a[j + q], start <= j < stop, to out[q].
 
-    ``out`` holds ``passes`` rows of canonical values, and is returned.
-    Its width is the transform length; if not given, it is zeros at the
-    length ``transform_shape`` picks for all of x's rows.
-    ``seed_fill(rows, out)``, such as ``Words.fill``, writes the spectra
-    of the seed rows a[r]; it is asked for the rows start .. stop +
-    passes - 2, each once.  The key rows go in steps (``_steps``) into a
-    window of as many rows, and the seed rows a step newly needs into a
-    window of passes - 1 more, whose rows the next step still needs move
-    to its front.  The range's engine (``engines.engine``) adds each
+    ``out`` holds one row of canonical values per pass, and is returned;
+    its width is the transform length.  ``seed_fill(rows, out)``, such
+    as ``Words.fill``, writes the spectra of the seed rows a[r]; it is
+    asked for the rows start .. stop + passes - 2, each once.  The key
+    rows go in steps (``steps``) into a window of as many rows, and the
+    seed rows a step newly needs into a window of passes - 1 more, whose
+    rows the next step still needs move to its front.  ``engine``, an
+    ``engines.Mac`` or ``engines.BlockSums`` for these passes, adds each
     step's products to ``out`` by the time it finishes.  Every step
-    reuses the windows, so the memory held comes to ``working_set``
-    bytes, whatever the row count.
+    reuses the windows, so the memory held does not grow with the rows.
     """
-    if out is None:
-        out = np.zeros((passes, transform_shape(x.gamma, len(x))[0]), dtype=_U64)
-    length = out.shape[1]
+    passes, length = out.shape
     stop = len(x) if stop is None else stop
-    engine = engines.engine(stop - start, passes)
-    step, window = _steps(engine.section, stop - start, length)
+    step, window = steps(engine.section, stop - start, length)
     keys = np.empty((window, length), dtype=_U64)
     seeds = np.empty((window + passes - 1, length), dtype=_U64)
     have = start  # one past the last seed row in the window
@@ -404,7 +386,8 @@ def dot(x: Words, a: Words, offset: int = 0) -> int:
     if len(a) < n + offset:
         raise ValueError(f"rows {offset}..{offset + n - 1} requested, "
                          f"only {len(a)} present")
-    return to_ints(pass_spectra(x, a[offset:offset + n].fill, 1), x.gamma)[0]
+    out = np.zeros((1, transform_shape(x.gamma, n)[0]), dtype=_U64)
+    return to_ints(pass_spectra(x, a[offset:offset + n].fill, engines.Mac(), out), x.gamma)[0]
 
 
 # -- exact limb products -----------------------------------------------------

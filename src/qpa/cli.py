@@ -10,7 +10,7 @@ File formats (all little-endian, LSB-first within bytes):
 Exit codes: 0 success, 2 parameter error, 3 all-ones rejection,
 4 I/O error, 5 selftest failure, 6 a worker process failed (it could not
 start, raised, exited non-zero or was killed; its traceback, if any, is
-on stderr).
+on stderr), 7 out of memory.
 """
 
 from __future__ import annotations
@@ -32,25 +32,21 @@ EXIT_ALL_ONES = 3
 EXIT_IO = 4
 EXIT_SELFTEST = 5
 EXIT_WORKER = 6
+EXIT_MEMORY = 7
 
 
 def cmd_plan(args) -> int:
     params = pipeline.plan(args.in_bits, args.out_bits, args.gamma_exp)
-    print(f"gamma     = {params.gamma}")
-    print(f"N         = {params.N}")
-    print(f"l         = {params.l}")
-    print(f"n         = {params.n}")
-    print(f"m         = {params.m}")
-    print(f"l_prime   = {params.l_prime}")
+    run = pipeline.schedule(params, args.workers)
+    for name, value in vars(params).items():  # gamma, N, l, n, m, l_prime, L, b
+        print(f"{name:<9} = {value}")
     print(f"seed bits = {pipeline.required_seed_bits(params)}")
-    length, width = bigint.transform_shape(params.gamma, params.n)
-    print(f"L         = {length}")
-    print(f"b         = {width}")
-    # a run at W workers picks its engine per range of about n / W blocks
-    size = engines.block_size(params.n, params.pass_count)
-    print(f"engine    = {f'block, B = {size}' if size else 'MAC'} in one process")
-    spectra = bigint.working_set(length, params.n, params.pass_count)
-    print(f"spectra   = {spectra} bytes in one process")
+    print(f"shares    = {run.shares}")
+    for k, size in enumerate(run.sizes):
+        engine = f"the block engine, B = {size}" if size else "the MAC"
+        print(f"range {k + 1:<3} = blocks {run.bounds[k] + 1}-{run.bounds[k + 1]} "
+              f"on {engine}, holding {run.held[k]} bytes")
+    print(f"buffer    = {run.buffer} bytes")
     print(f"ratio     = {params.ratio}")
     if params.l == params.N:
         print("warning: ratio 1.0 performs no compression", file=sys.stderr)
@@ -202,8 +198,8 @@ def _selftest_suites():
                "clearing the cache did not restore the transform")
 
     def shift_negative_control():
-        # a block-engine pass with one butterfly shift off by a bit must
-        # differ from plain ints, and clearing the cache must restore it
+        # a block-engine pass (B = 32) with one butterfly shift off by a bit
+        # must differ from plain ints, and clearing the cache must restore it
         gamma, n, passes = 127, 40, 14
         p = (1 << gamma) - 1
         xs, coeffs = ([int.from_bytes(rng.bytes(16), "little") % p for _ in range(k)]
@@ -211,14 +207,14 @@ def _selftest_suites():
         x, a = (bigint.Words.from_ints(v, gamma) for v in (xs, coeffs))
         expected = [sum(v * coeffs[k + q] for k, v in enumerate(xs)) % p
                     for q in range(passes)]
-        size = engines.block_size(n, passes)
-        _check(size > 0, "the pass takes the block engine")
 
         def sums():
-            return bigint.to_ints(bigint.pass_spectra(x, a.fill, passes), gamma)
+            out = np.zeros((passes, bigint.transform_shape(gamma, n)[0]), dtype=np.uint64)
+            engine = engines.BlockSums(32, passes)
+            return bigint.to_ints(bigint.pass_spectra(x, a.fill, engine, out), gamma)
 
         _check(sums() == expected, "block-engine pass sums")
-        ntt._testing_corrupt_shift(size)
+        ntt._testing_corrupt_shift(32)
         try:
             _check(sums() != expected, "corruption went undetected")
         finally:
@@ -281,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Mersenne-prime rings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_plan_flags(p, with_n=True):
+    def add_plan_flags(p, with_n=True, workers=False):
         if with_n:
             p.add_argument("--in-bits", type=int, required=True,
                            help="input block length N in bits")
@@ -289,9 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output key length l in bits")
         p.add_argument("--gamma-exp", type=int, default=mersenne.DEFAULT_GAMMA,
                        help="Mersenne exponent gamma (default 756839)")
+        if workers:
+            p.add_argument("--workers", type=int, default=None,
+                           help="worker processes (default: QPA_WORKERS, else 1)")
 
-    p = sub.add_parser("plan", help="derive n, m, l' and seed sizing")
-    add_plan_flags(p)
+    p = sub.add_parser("plan", help="derive n, m, l', seed sizing and the run's schedule")
+    add_plan_flags(p, workers=True)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("distill", help="distill a key file")
@@ -300,11 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--in-bits", type=int, default=None,
                    help="N in bits (default: 8 * input file size)")
-    add_plan_flags(p, with_n=False)
+    add_plan_flags(p, with_n=False, workers=True)
     p.add_argument("--all-ones-policy", choices=("error", "zero"),
                    default="error")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: QPA_WORKERS, else 1)")
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("gen-seed", help="write OS-random seed material")
@@ -335,6 +332,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

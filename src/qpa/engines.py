@@ -1,13 +1,13 @@
 """The two engines that sum a pass's spectral row products, and the choice.
 
 ``bigint.pass_spectra`` hands each step's key and seed windows to the
-engine ``engine`` builds, as ``block_size`` picks, through the same
-``add`` and ``finish`` calls.  ``Mac`` is a multiply-accumulate over
-rows: every pass sums its own row products.  ``BlockSums`` computes all
-passes of a frequency bin at once by a short transform along the row
-axis.  Each owns its rows per section, its buffers (``buffer_bytes``),
-the zero padding of a short step and any scale.  Both return the same
-field elements.
+engine its caller passes in, which ``pipeline.schedule`` picks for the
+range by ``block_size``, through the same ``add`` and ``finish`` calls.
+``Mac`` is a multiply-accumulate over rows: every pass sums its own row
+products.  ``BlockSums`` computes all passes of a frequency bin at once
+by a short transform along the row axis.  Each owns its rows per
+section, its buffers (``buffer_bytes``), the zero padding of a short
+step and any scale.  Both return the same field elements.
 """
 
 from __future__ import annotations
@@ -56,12 +56,6 @@ def block_size(rows: int, passes: int) -> int:
     if passes < _BLOCK_PASSES or rows < max(_BLOCK_ROWS, _BLOCK_PRODUCTS // passes):
         return 0
     return next((size for size in _BLOCK_SIZES if 2 * passes <= size), _BLOCK_SIZES[-1])
-
-
-def engine(rows: int, passes: int) -> "Mac | BlockSums":
-    """The engine ``block_size`` picks; it takes the transform length from its arrays."""
-    size = block_size(rows, passes)
-    return BlockSums(size, passes) if size else Mac()
 
 
 def _sum_products(x: np.ndarray, a: np.ndarray, tmp: tuple,

@@ -46,15 +46,11 @@ SUPPORTED_LENGTHS = tuple(1 << k for k in range(4, 17))
 _U64 = np.uint64
 
 # values per chunk when batching: 2 MB of uint64 with the batch axis
-# innermost, so every stage reads and writes rows of _PIECE values
-_CHUNK_ELEMS = 1 << 18
-# most values one elementwise kernel call works on.  Its operands and
-# temporaries, about 1 MB, stay in a 2 MB L2 cache, and numpy's per-call
-# cost is small against the work: a forward row took about 30% less
-# time than with 4096-value pieces.  The temporaries are allocated once
-# per transform call, as arrays of 128 KB freed after each kernel call
-# would be handed back to the system and faulted in again.
-_PIECE = _CHUNK_ELEMS // 16
+# innermost, so every stage reads and writes rows of ``gl.PIECE`` values.
+# The kernels' temporaries are allocated once per transform call, as
+# arrays of 128 KB freed after each kernel call would be handed back to
+# the system and faulted in again.
+_CHUNK_ELEMS = 16 * gl.PIECE
 
 
 @functools.cache
@@ -162,7 +158,7 @@ def _transform(d: np.ndarray, spare: np.ndarray, row_spare: np.ndarray,
     (``_last_stage``).  Each radix-16 stage multiplies row p of the
     16-point outputs by its twiddles and writes it straight to its
     transposed place, so with a full chunk every kernel call sees
-    length*m/16 = _PIECE values.  The stages alternate between d and
+    length*m/16 = ``gl.PIECE`` values.  The stages alternate between d and
     ``spare``, a contiguous array of the same size; both are
     overwritten, and the one holding the result is returned.
     ``row_spare`` and the kernel temporaries ``tmp`` (from
@@ -246,7 +242,7 @@ def _run(v: np.ndarray, inverse: bool, out: np.ndarray | None) -> np.ndarray:
     # two chunk buffers and one row spare, one allocation shared by every
     # chunk and stage, and one set of kernel temporaries
     chunk = min(rows_per_chunk, batch) * length
-    piece = min(_PIECE, chunk)
+    piece = min(gl.PIECE, chunk)
     buf = np.empty(2 * chunk + piece, dtype=_U64)
     tmp = gl.scratch((piece,))
     for start in range(0, batch, rows_per_chunk):
@@ -254,7 +250,7 @@ def _run(v: np.ndarray, inverse: bool, out: np.ndarray | None) -> np.ndarray:
         m = len(rows)
         d, spare = (buf[k * m * length:(k + 1) * m * length].reshape(length, m)
                     for k in (0, 1))
-        step = min(length, _PIECE // m)  # transform positions per piece
+        step = min(length, gl.PIECE // m)  # transform positions per piece
         for i in range(0, length, step):
             d[i:i + step] = rows[:, i:i + step].T
         block = _transform(d, spare, buf[2 * chunk:], inverse, tmp)

@@ -13,10 +13,12 @@ packed once, and A, b and c are rows of one seed stream.
 so memory does not grow with n, and each pass then costs one inverse
 transform.
 
-The key blocks are cut into one contiguous range per share, and
-``_pass_sums`` fans out three times through ``_fan_out``, the one place
-that starts processes: over the seed words that two ranges need, which
-are transformed once; over the ranges, each streamed into its own pass
+``schedule`` is the one place where the fan-out is decided: before any
+key bit moves, it cuts the key blocks into one contiguous range per
+share and picks each range's engine.  ``_pass_sums`` runs it, fanning
+out three times through ``_fan_out``, the one place that starts
+processes: over the seed words that two ranges need, which are
+transformed once; over the ranges, each streamed into its own pass
 spectra; and over the passes, each summed over the ranges, reduced to
 its canonical residue by ``bigint.to_ints`` and written as a
 little-endian byte row, from which the key's y_1 .. y_m are unpacked at
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bigint, bitio, mmh_mh
+from . import bigint, bitio, engines, mmh_mh
 from . import goldilocks as gl
 from .dm3h import split_and_pad
 from .errors import (InvalidRatio, InvalidWorkers, LengthMismatch, SeedTooShort,
@@ -59,6 +61,8 @@ class PaParams:
     n: int
     m: int
     l_prime: int
+    L: int  # the transform length of every range and pass
+    b: int  # its digit width
 
     @property
     def mersenne(self) -> MersenneParams:
@@ -91,11 +95,9 @@ def plan(N: int, l: int, gamma: int) -> PaParams:
     params = MersenneParams(gamma)  # raises InvalidGamma
     if l <= 0 or l > N:
         raise InvalidRatio(f"need 0 < l <= N, got l = {l}, N = {N}")
-    n = -(-N // gamma)
-    bigint.transform_shape(gamma, n)  # raises InvalidGamma or TooManyBlocks
-    m = l // gamma
-    l_prime = l - m * gamma
-    return PaParams(gamma=params.gamma, N=N, l=l, n=n, m=m, l_prime=l_prime)
+    n, m = -(-N // gamma), l // gamma
+    L, b = bigint.transform_shape(gamma, n)  # raises InvalidGamma or TooManyBlocks
+    return PaParams(gamma=params.gamma, N=N, l=l, n=n, m=m, l_prime=l - m * gamma, L=L, b=b)
 
 
 def required_seed_bits(params: PaParams) -> int:
@@ -134,8 +136,36 @@ class DistillResult:
     key_bits: np.ndarray
 
 
-def _resolve_workers(workers: int | None) -> int:
-    """The given count, else QPA_WORKERS, else 1; must be a positive integer."""
+@dataclass(frozen=True)
+class Schedule:
+    """What a run does, as ``schedule`` decides it."""
+
+    params: PaParams
+    shares: int
+    bounds: tuple[int, ...]
+    shared: tuple[int, ...]
+    sizes: tuple[int, ...]
+    held: tuple[int, ...]
+    buffer: int
+
+
+def _engine(size: int, passes: int) -> "engines.Mac | engines.BlockSums":
+    return engines.BlockSums(size, passes) if size else engines.Mac()
+
+
+def schedule(params: PaParams, workers: int | None = None) -> Schedule:
+    """The run at ``workers`` processes: the given count, else QPA_WORKERS, else 1.
+
+    The count must be a positive integer; the shares are capped by the
+    blocks and the usable CPUs.  Share k streams blocks bounds[k] ..
+    bounds[k+1] - 1 on the engine of B = sizes[k] (0: the MAC), which
+    need seed words bounds[k] .. bounds[k+1] + passes - 2, so the
+    ``shared`` words two ranges need are the passes - 1 from the start
+    of each range but the first.  A range holds held[k] bytes: its key
+    and seed windows of K and K + passes - 1 rows (``bigint.steps``) and
+    its engine's buffers.  The ``buffer`` bytes hold the shared seed
+    spectra, each share's pass spectra and each pass's residue.
+    """
     if workers is None:
         raw = os.environ.get("QPA_WORKERS", "1")
         try:
@@ -144,7 +174,18 @@ def _resolve_workers(workers: int | None) -> int:
             raise InvalidWorkers(f"QPA_WORKERS={raw!r} is not an integer") from None
     if workers < 1:
         raise InvalidWorkers(f"worker count must be at least 1, got {workers}")
-    return workers
+    n, passes, length = params.n, params.pass_count, params.L
+    shares = min(workers, n, len(os.sched_getaffinity(0)))
+    bounds = tuple(k * n // shares for k in range(shares + 1))
+    shared = tuple(sorted({r for b in bounds[1:-1] for r in range(b, b + passes - 1)}))
+    sizes, held = [], []
+    for start, stop in zip(bounds, bounds[1:]):
+        sizes.append(engines.block_size(stop - start, passes))
+        engine = _engine(sizes[-1], passes)
+        window = bigint.steps(engine.section, stop - start, length)[1]
+        held.append(8 * (2 * window + passes - 1) * length + engine.buffer_bytes(window, length))
+    buffer = 8 * (len(shared) + shares * passes) * length + passes * -(-params.gamma // 8)
+    return Schedule(params, shares, bounds, shared, tuple(sizes), tuple(held), buffer)
 
 
 def _fan_out(job, shares: int) -> None:
@@ -198,8 +239,7 @@ def distill_blocks(blocks: bigint.Words, seed: SeedMaterial, params: PaParams,
                    workers: int | None = None) -> DistillResult:
     """Run the m (+1) passes on already-split blocks.
 
-    The work is spread over up to ``workers`` processes (default:
-    QPA_WORKERS, else 1).
+    The work is spread over the processes ``schedule`` gives ``workers``.
     """
     n = len(blocks)
     if n != params.n:
@@ -209,7 +249,7 @@ def distill_blocks(blocks: bigint.Words, seed: SeedMaterial, params: PaParams,
                            f"{params.seed_words} coefficients, seed has {len(seed.A)}")
     if params.l_prime > 0 and seed.mh is None:
         raise LengthMismatch("plan has a tail stage but no MH seed was supplied")
-    sums = _pass_sums(blocks, seed.A, params.pass_count, _resolve_workers(workers))
+    sums = _pass_sums(blocks, seed.A, schedule(params, workers))
     key = np.unpackbits(sums[:params.m], axis=1, count=params.gamma,
                         bitorder="little").reshape(-1)
     if params.l_prime > 0:
@@ -220,31 +260,19 @@ def distill_blocks(blocks: bigint.Words, seed: SeedMaterial, params: PaParams,
     return DistillResult(key_bits=key)
 
 
-def _pass_sums(blocks: bigint.Words, A: bigint.Words, passes: int,
-               workers: int) -> np.ndarray:
+def _pass_sums(blocks: bigint.Words, A: bigint.Words, run: Schedule) -> np.ndarray:
     """The pass sums' residues, as little-endian rows of ceil(gamma / 8) bytes.
 
-    Up to ``workers`` processes compute them, capped by the blocks and
-    the usable CPUs, and the rows are copied out of the buffer, so its
-    spectra are freed on return.  Share k streams blocks bounds[k] ..
-    bounds[k+1] - 1, which need seed words bounds[k] .. bounds[k+1] +
-    passes - 2, so the words two shares need are the passes - 1 from the
-    start of each range but the first.
+    ``run``'s shares compute them, and the rows are copied out of its
+    buffer, so its spectra are freed on return.
     """
-    n, gamma = len(blocks), blocks.gamma
-    # one length for the whole plan: the ranges' spectra are summed
-    length = bigint.transform_shape(gamma, n)[0]
-    shares = min(workers, n, len(os.sched_getaffinity(0)))
-    bounds = [k * n // shares for k in range(shares + 1)]
-    shared = sorted({r for b in bounds[1:-1] for r in range(b, b + passes - 1)})
+    passes, length, gamma = run.params.pass_count, run.params.L, run.params.gamma
+    shares, bounds, shared = run.shares, run.bounds, run.shared
     slot = np.full(len(A), -1)
-    slot[shared] = range(len(shared))
-    # the shared seed spectra, each share's pass spectra and each pass's
-    # residue, little-endian, in one buffer: a shared mapping when
-    # children write to it
+    slot[list(shared)] = range(len(shared))
+    # a shared mapping when children write to it
     rows, width = len(shared) + shares * passes, -(-gamma // 8)
-    size = 8 * rows * length + passes * width
-    buf = mmap.mmap(-1, size) if shares > 1 else bytearray(size)
+    buf = mmap.mmap(-1, run.buffer) if shares > 1 else bytearray(run.buffer)
     spectra = np.frombuffer(buf, dtype=np.uint64, count=rows * length).reshape(rows, length)
     known, acc = spectra[:len(shared)], spectra[len(shared):].reshape(shares, passes, length)
     sums = np.frombuffer(buf, dtype=np.uint8, offset=8 * rows * length).reshape(passes, width)
@@ -263,7 +291,8 @@ def _pass_sums(blocks: bigint.Words, A: bigint.Words, passes: int,
             out[i] = known[slots[i]]
 
     def stream(k: int, s: int) -> None:
-        bigint.pass_spectra(blocks, seed_fill, passes, bounds[k], bounds[k + 1], acc[k])
+        bigint.pass_spectra(blocks, seed_fill, _engine(run.sizes[k], passes), acc[k],
+                            bounds[k], bounds[k + 1])
 
     def finish(k: int, s: int) -> None:
         mine = range(k * passes // s, (k + 1) * passes // s)

@@ -172,14 +172,13 @@ def test_criterion_4_end_to_end_oracle(monkeypatch, tmp_path):
     # each pass_spectra call, here or in a forked worker, appends its
     # engine to this file: b"B" for the block engine, b"M" for the MAC
     log = os.open(tmp_path / "engines", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-    real_engine = engines.block_size
+    real_stream = bigint.pass_spectra
 
-    def logged(rows, passes):
-        size = real_engine(rows, passes)
-        os.write(log, b"B" if size else b"M")
-        return size
+    def logged(x, seed_fill, engine, *args):
+        os.write(log, b"B" if isinstance(engine, engines.BlockSums) else b"M")
+        return real_stream(x, seed_fill, engine, *args)
 
-    monkeypatch.setattr(engines, "block_size", logged)
+    monkeypatch.setattr(bigint, "pass_spectra", logged)
     total = 0
     took = {}
     try:

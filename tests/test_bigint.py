@@ -150,7 +150,17 @@ def test_rows_are_read_apart_from_their_neighbours(gamma):
             x * coeffs[k + offset] for k, x in enumerate(xs)) % p
 
 
-# gamma, rows, passes and the B of the engine pass_spectra takes (0: the MAC)
+def engine(size, passes):
+    """The engine of B = ``size``, or the MAC for 0, as a run's schedule builds it."""
+    return engines.BlockSums(size, passes) if size else engines.Mac()
+
+
+def zeros(passes, gamma, rows):
+    """``passes`` zero spectra at the length a plan of ``rows`` blocks takes."""
+    return np.zeros((passes, bigint.transform_shape(gamma, rows)[0]), dtype=np.uint64)
+
+
+# gamma, rows, passes and the B of the engine the rows take (0: the MAC)
 PASS_PLANS = [
     (127, 3, 7, 0),        # more passes than rows
     (127, 20, 14, 0),      # too few rows for the block engine
@@ -179,15 +189,16 @@ def test_pass_spectra_sums_each_shifted_range(gamma, n, passes, size):
             asked.extend(rows)
             a.fill(rows, out)
 
-        spectra = bigint.pass_spectra(x, seed_fill, passes, start, stop)
+        spectra = bigint.pass_spectra(x, seed_fill, engine(size, passes), zeros(passes, gamma, n),
+                                      start, stop)
         # each seed row the range needs is transformed once, in order
         assert asked == list(range(start, stop + passes - 1))
         for q, total in enumerate(bigint.to_ints(spectra, gamma)):
             assert total == sum(
                 xs[j] * coeffs[j + q] for j in range(start, stop)) % p
     # out accumulates: a second range adds its sums to the first
-    both = bigint.pass_spectra(x, a.fill, passes, 0, 1)
-    bigint.pass_spectra(x, a.fill, passes, 1, n, both)
+    both = bigint.pass_spectra(x, a.fill, engines.Mac(), zeros(passes, gamma, n), 0, 1)
+    bigint.pass_spectra(x, a.fill, engine(size, passes), both, 1, n)
     assert bigint.to_ints(both[-1:], gamma)[0] == sum(
         xs[j] * coeffs[j + passes - 1] for j in range(n)) % p
 
@@ -196,7 +207,7 @@ def test_pass_spectra_sums_each_shifted_range(gamma, n, passes, size):
     (127, 20, 14, 0),      # too few rows: the MAC is picked
     (19937, 40, 14, 32),   # the block engine is picked, 1/B = 2^-5
 ])
-def test_engines_give_identical_spectra(gamma, n, passes, chosen, monkeypatch):
+def test_engines_give_identical_spectra(gamma, n, passes, chosen):
     # each plan forced through both engines: the (P, L) spectra are the
     # same canonical arrays, not only the same sums after to_ints
     rng = np.random.default_rng(gamma + n)
@@ -207,8 +218,8 @@ def test_engines_give_identical_spectra(gamma, n, passes, chosen, monkeypatch):
     assert engines.block_size(n, passes) == chosen
     spectra = {}
     for size in (0, 32):
-        monkeypatch.setattr(engines, "block_size", lambda rows, count, size=size: size)
-        spectra[size] = bigint.pass_spectra(x, a.fill, passes)
+        spectra[size] = bigint.pass_spectra(x, a.fill, engine(size, passes),
+                                            zeros(passes, gamma, n))
     assert spectra[0].shape == (passes, bigint.transform_shape(gamma, n)[0])
     assert np.array_equal(spectra[0], spectra[32])
     assert bigint.to_ints(spectra[32], gamma) == [
@@ -338,8 +349,10 @@ def test_dot_and_to_ints_return_canonical_residues(gamma):
     x, a = bigint.Words.from_ints(xs, gamma), bigint.Words.from_ints(coeffs, gamma)
     expected = [sum(v * coeffs[k + q] for k, v in enumerate(xs)) % p for q in (0, 1)]
     assert [bigint.dot(x, a, q) for q in (0, 1)] == expected
-    assert bigint.to_ints(bigint.pass_spectra(x, a.fill, 2), gamma) == expected
-    spectra = bigint.pass_spectra(ones, bigint.Words.from_ints([1, p - 1, 1], gamma).fill, 2)
+    assert bigint.to_ints(bigint.pass_spectra(x, a.fill, engines.Mac(), zeros(2, gamma, 6)),
+                          gamma) == expected
+    spectra = bigint.pass_spectra(ones, bigint.Words.from_ints([1, p - 1, 1], gamma).fill,
+                                  engines.Mac(), zeros(2, gamma, 2))
     assert bigint.to_ints(spectra, gamma) == [0, 0]
 
 
@@ -404,7 +417,8 @@ def test_corrupt_block_shift_is_detected_and_cleared():
     expected = [sum(v * coeffs[k + q] for k, v in enumerate(xs)) % p for q in range(passes)]
 
     def sums():
-        return bigint.to_ints(bigint.pass_spectra(x, a.fill, passes), gamma)
+        return bigint.to_ints(bigint.pass_spectra(x, a.fill, engines.BlockSums(32, passes),
+                                                  zeros(passes, gamma, n)), gamma)
 
     assert engines.block_size(n, passes) == 32
     assert sums() == expected

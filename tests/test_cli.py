@@ -1,4 +1,5 @@
 import errno
+import mmap
 import os
 import re
 import subprocess
@@ -9,28 +10,33 @@ import numpy as np
 import pytest
 
 import qpa
-from qpa import bigint, bitio, cli, engines, pipeline
+from qpa import bigint, bitio, cli, pipeline
 
 
 def run(argv):
     return cli.main([str(a) for a in argv])
 
 
-def test_plan_output(capsys):
+def test_plan_output(capsys, monkeypatch):
+    monkeypatch.delenv("QPA_WORKERS", raising=False)
     assert run(["plan", "--in-bits", 10 ** 8, "--out-bits", 10 ** 7]) == 0
     out = capsys.readouterr().out
     assert "n         = 133" in out
     assert "m         = 13" in out
     assert "l_prime   = 161093" in out
     assert "seed bits = 112012172" in out
-    # 14 passes over 133 rows take the block engine: a section of 19 key
-    # rows, 19 + 13 seed rows, 14 pass rows and a (32, L) accumulator of
-    # 65536 values, and a stack of 17 rows of the key and seed columns,
-    # twice 16384 values
+    # at 1 worker, 14 passes over the one range of 133 rows take the block
+    # engine: a window of 19 key rows (a section) and 19 + 13 seed rows, a
+    # (32, L) accumulator of 65536 values, and a stack of 17 rows of the
+    # key and seed columns, twice 16384 values.  The buffer holds the 14
+    # pass rows and their residues of ceil(756839 / 8) bytes
     assert "L         = 65536" in out
     assert "b         = 12" in out
-    assert "engine    = block, B = 32 in one process" in out
-    assert f"spectra   = {97 * 65536 * 8 + 17 * 2 * 16384 * 8} bytes in one process" in out
+    assert "shares    = 1" in out
+    assert ("range 1   = blocks 1-133 on the block engine, B = 32, holding "
+            f"{83 * 65536 * 8 + 17 * 2 * 16384 * 8} bytes") in out
+    assert f"buffer    = {14 * 65536 * 8 + 14 * 94605} bytes" in out
+    assert "in one process" not in out
     # the same 133 blocks at gamma 19937 fit L = 1024 with 20-bit digits
     assert run(["plan", "--in-bits", 2_651_621, "--out-bits", 265_162,
                 "--gamma-exp", 19937]) == 0
@@ -45,24 +51,68 @@ def test_plan_output(capsys):
     assert "n         = 80" in out
     assert "L         = 65536" in out
     assert "b         = 20" in out
-    # one pass over 40 rows takes the MAC: 16 key rows, 16 seed rows and
-    # the pass row
+    # one pass over 40 rows takes the MAC: 16 key rows and 16 seed rows,
+    # and the buffer holds the pass row and its residue
     assert run(["plan", "--in-bits", 40 * 756839, "--out-bits", 100]) == 0
     out = capsys.readouterr().out
-    assert "engine    = MAC in one process" in out
-    assert f"spectra   = {33 * 65536 * 8} bytes in one process" in out
+    assert f"range 1   = blocks 1-40 on the MAC, holding {32 * 65536 * 8} bytes" in out
+    assert f"buffer    = {65536 * 8 + 94605} bytes" in out
 
 
-def test_plan_engine_is_for_one_process(capsys):
-    # 14 passes over 50 blocks take the block engine in one process, but
-    # each 25-block range of a 2-worker run takes the MAC
-    assert run(["plan", "--in-bits", 127 * 50, "--out-bits", 127 * 13 + 50,
-                "--gamma-exp", 127]) == 0
-    out = capsys.readouterr().out
-    assert "n         = 50" in out
-    assert "engine    = block, B = 32 in one process" in out
-    assert re.search(r"^spectra   = \d+ bytes in one process$", out, re.M)
-    assert engines.block_size(25, 14) == 0
+def printed_ranges(out):
+    """(first block, last block, B) of each range ``qpa plan`` prints; B = 0 is the MAC."""
+    return [(int(first), int(last), int(size or 0)) for first, last, size in re.findall(
+        r"^range \d+ += blocks (\d+)-(\d+) on the (?:block engine, B = (\d+)|MAC),", out, re.M)]
+
+
+def test_plan_prints_the_schedule_a_run_takes(tmp_path, monkeypatch, capsys):
+    # 14 passes at gamma 127: 70 blocks take the block engine in the one
+    # range at 1 worker and in both 35-block ranges at 2, and the MAC in
+    # the 23- and 24-block ranges at 3; 50 blocks take the block engine at
+    # 1 worker, but each 25-block range at 2 takes the MAC.  As criterion
+    # 4 logs its engines, every process appends the range and B of each
+    # pass_spectra call it makes to one file
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    log = os.open(tmp_path / "ranges", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    real_stream, real_mmap, mapped = bigint.pass_spectra, mmap.mmap, []
+
+    def pass_spectra(x, seed_fill, engine, out, start, stop):
+        os.write(log, f"{start + 1} {stop} {getattr(engine, 'size', 0)}\n".encode())
+        return real_stream(x, seed_fill, engine, out, start, stop)
+
+    def mapping(fileno, length, *args, **kwargs):
+        mapped.append(length)
+        return real_mmap(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(bigint, "pass_spectra", pass_spectra)
+    monkeypatch.setattr(mmap, "mmap", mapping)
+    runs = {(70, 1): [(1, 70, 32)], (70, 2): [(1, 35, 32), (36, 70, 32)],
+            (70, 3): [(1, 23, 0), (24, 46, 0), (47, 70, 0)],
+            (50, 1): [(1, 50, 32)], (50, 2): [(1, 25, 0), (26, 50, 0)]}
+    rng = np.random.default_rng(22)
+    try:
+        for (n, workers), ranges in runs.items():
+            plan = ["--in-bits", 127 * n, "--out-bits", 127 * 13 + 50, "--gamma-exp", 127]
+            assert run(["plan", *plan, "--workers", workers]) == 0
+            out = capsys.readouterr().out
+            assert f"shares    = {workers}" in out
+            assert printed_ranges(out) == ranges, out
+            assert "in one process" not in out
+            buffer = int(re.search(r"^buffer    = (\d+) bytes$", out, re.M).group(1))
+            (tmp_path / "key.bin").write_bytes(rng.bytes(-(-127 * n // 8)))
+            assert run(["gen-seed", *plan, "--output", tmp_path / "seed.bin"]) == 0
+            os.ftruncate(log, 0)
+            mapped.clear()
+            assert run(["distill", *plan, "--input", tmp_path / "key.bin",
+                        "--seed", tmp_path / "seed.bin", "--output", tmp_path / "out.bin",
+                        "--workers", workers]) == 0
+            logged = sorted(tuple(map(int, line.split()))
+                            for line in (tmp_path / "ranges").read_text().splitlines())
+            assert logged == ranges
+            # one share maps nothing; more map the buffer the plan printed
+            assert mapped == ([buffer] if workers > 1 else [])
+    finally:
+        os.close(log)
 
 
 def test_plan_ratio_one_warns(capsys):
@@ -317,13 +367,27 @@ def test_bad_worker_counts_are_param_errors(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QPA_WORKERS", "abc")
     assert run(args) == cli.EXIT_PARAM
     assert "QPA_WORKERS='abc'" in capsys.readouterr().err
-    # commands that run no passes do not read it
-    assert run(["plan", "--in-bits", 100, "--out-bits", 10,
-                "--gamma-exp", 7]) == 0
+    # plan prints the schedule, so it reads it too; gen-seed does not
+    plan = ["--in-bits", 100, "--out-bits", 10, "--gamma-exp", 7]
+    assert run(["plan", *plan]) == cli.EXIT_PARAM
+    assert "QPA_WORKERS='abc'" in capsys.readouterr().err
+    assert run(["gen-seed", *plan, "--output", tmp_path / "fresh.bin"]) == 0
     monkeypatch.delenv("QPA_WORKERS")
     for workers in (0, -3):
-        assert run(args + ["--workers", workers]) == cli.EXIT_PARAM
-        assert "at least 1" in capsys.readouterr().err
+        for argv in (args, ["plan", *plan]):
+            assert run(argv + ["--workers", workers]) == cli.EXIT_PARAM
+            assert "at least 1" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_an_exit_code(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(pipeline, "distill", exhausted)
+    assert run(zero_distill_args(tmp_path)) == cli.EXIT_MEMORY == 7
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+    assert "Traceback" not in err
 
 
 def test_selftest_passes(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qpa import goldilocks as gl
-from qpa import ntt, oracle
+from qpa import bigint, ntt, oracle
 from qpa.errors import LengthMismatch, UnsupportedLength
 
 P = gl.P64
@@ -150,8 +150,12 @@ def test_peak_memory_stays_near_the_input(shape):
 def test_kernel_calls_stay_within_a_piece(length, monkeypatch):
     # the last radix-2, 4 or 8 stage's rows are longer than a piece; it
     # must run on pieces, or the kernels would spill their temporaries
+    # counted from cold, as the twiddle tables and digit weights are built
+    # from powers of a root on first use, within pieces too
     v = rand_vec(np.random.default_rng(15), length, batch=ntt.batch_rows(length))
-    ntt.ntt_inverse(ntt.ntt_forward(v))  # the twiddle tables, built once
+    x = bigint.Words.from_ints([3, 5], 127)
+    ntt._testing_clear_cache()
+    bigint._testing_clear_cache()
     sizes = []
     for name in ("v_add", "v_sub", "v_shl", "v_mul_halves"):
         def sized(x, *args, real=getattr(gl, name), **kwargs):
@@ -159,7 +163,8 @@ def test_kernel_calls_stay_within_a_piece(length, monkeypatch):
             return real(x, *args, **kwargs)
         monkeypatch.setattr(gl, name, sized)
     assert np.array_equal(ntt.ntt_inverse(ntt.ntt_forward(v)), v)
-    assert max(sizes) == ntt._PIECE
+    x.fill(range(2), np.empty((2, length), dtype=np.uint64))
+    assert max(sizes) == gl.PIECE
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor faults as Linux counts them")

@@ -188,8 +188,8 @@ def test_all_ones_rows_hash_as_zero(gamma, n, l, workers, length, block, monkeyp
     """
     fake_cpus(monkeypatch, workers)
     params = pipeline.plan(n * gamma, l, gamma)
-    assert bigint.transform_shape(gamma, n)[0] == length
-    assert engines.block_size(-(-n // workers), params.pass_count) == block
+    assert params.L == length
+    assert set(pipeline.schedule(params, workers).sizes) == {block}
     rng = np.random.default_rng(gamma + workers)
     x = rng.integers(0, 2, size=params.N, dtype=np.uint8)
     seed_bits = rng.integers(0, 2, size=pipeline.required_seed_bits(params), dtype=np.uint8)
@@ -377,16 +377,17 @@ def test_working_set_does_not_grow_with_the_blocks():
     gamma = 19937
     length = bigint.transform_shape(gamma, 1)[0]
     step = ntt.batch_rows(length)   # a step of key rows
-    assert bigint.transform_shape(gamma, 4 * step)[0] == length
     rng = np.random.default_rng(19)
     for m, n, size in ((2, step, 0),                  # the MAC: a step of key rows
                        (13, step // 19 * 19, 32)):    # the block engine: 19-row sections
-        assert engines.block_size(n, m + 1) == engines.block_size(4 * n, m + 1) == size
-        assert (bigint.working_set(length, n, m + 1)
-                == bigint.working_set(length, 4 * n, m + 1))
+        runs = [pipeline.schedule(pipeline.plan(gamma * rows, gamma * m + 100, gamma), 1)
+                for rows in (n, 4 * n)]
+        assert {run.params.L for run in runs} == {length}
+        assert runs[0].sizes == runs[1].sizes == (size,)
+        assert runs[0].held == runs[1].held
         peaks = []
-        for rows in (n, 4 * n):
-            params = pipeline.plan(gamma * rows, gamma * m + 100, gamma)
+        for run in runs:
+            params = run.params
             blocks = pipeline.split_and_pad(rng.bytes(-(-params.N // 8)), params.mersenne,
                                             nbits=params.N)
             seed = pipeline.seed_from_bits(
@@ -528,16 +529,36 @@ def test_short_seed_is_rejected_before_any_fan_out(monkeypatch):
 
 
 def test_workers_env_default(monkeypatch):
+    fake_cpus(monkeypatch, 8)
+    params = pipeline.plan(127 * 20, 100, 127)
     monkeypatch.setenv("QPA_WORKERS", "3")
-    assert pipeline._resolve_workers(None) == 3
-    assert pipeline._resolve_workers(2) == 2
+    assert pipeline.schedule(params).shares == pipeline.schedule(params, None).shares == 3
+    assert pipeline.schedule(params, 2).shares == 2
     for bad in ("abc", "0", "-2", ""):
         monkeypatch.setenv("QPA_WORKERS", bad)
         with pytest.raises(InvalidWorkers):
-            pipeline._resolve_workers(None)
+            pipeline.schedule(params)
     for bad in (0, -1):
         with pytest.raises(InvalidWorkers):
-            pipeline._resolve_workers(bad)
+            pipeline.schedule(params, bad)
+    monkeypatch.delenv("QPA_WORKERS")
+    assert pipeline.schedule(params).shares == 1
+
+
+def test_schedule_caps_the_shares_and_splits_the_ranges(monkeypatch):
+    # 10 blocks and 5 passes: up to the usable CPUs and the blocks, in
+    # ranges of n // shares or one more; the seed words two ranges need
+    # are the 4 from the start of each range but the first
+    params = pipeline.plan(127 * 10, 127 * 4 + 5, 127)
+    assert (params.n, params.pass_count) == (10, 5)
+    for cpus, workers, bounds, shared in ((4, 3, (0, 3, 6, 10), range(3, 10)),
+                                          (2, 3, (0, 5, 10), range(5, 9)),
+                                          (64, 64, tuple(range(11)), range(1, 13)),
+                                          (1, 8, (0, 10), ())):
+        fake_cpus(monkeypatch, cpus)
+        run = pipeline.schedule(params, workers)
+        assert (run.shares, run.bounds, run.shared) == (len(bounds) - 1, bounds, tuple(shared))
+        assert len(run.sizes) == len(run.held) == run.shares
 
 
 def test_pass_and_multiplication_counts(monkeypatch):
