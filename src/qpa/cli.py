@@ -121,7 +121,7 @@ def _selftest_suites():
 
     def ntt_roundtrip():
         # 5 x 65536 and 300 x 1024 batches span two transform chunks, the
-        # second ragged, and 1024 ends in a radix-4 stage
+        # second ragged, and 1024's last stage has radix 4, on several pieces
         for shape in ((16,), (256,), (5, 65536), (300, 1024)):
             v = rng.integers(0, 1 << 24, size=shape).astype(np.uint64)
             _check(np.array_equal(ntt.ntt_inverse(ntt.ntt_forward(v)), v),

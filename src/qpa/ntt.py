@@ -1,14 +1,14 @@
 """Number-theoretic transform over the Goldilocks field, radix 16.
 
-Supported lengths are the powers of two from 16 to 65536: L = 16^k * r
-runs k radix-16 stages and, for r = 2, 4 or 8, one last radix-r stage.
-Each radix-16 stage multiplies only by powers of w16 = 4096 = 2^12,
+Supported lengths are the powers of two from 16 to 65536.  A transform
+is one loop of stages: each takes radix r = min(16, remaining length),
+so every stage but the last has radix 16 and the last radix 2, 4, 8 or
+16.  A stage's r-point butterflies take w_r = w^(L/r) = 2^(192/r),
 realized as bit shifts modulo p; inter-stage twiddle factors come from
 cached tables of powers of the global root, stored once as the 32-bit
 halves that ``goldilocks.v_mul_halves`` takes.  The last stage needs no
-twiddles, and its r-point butterflies take w_r = w^(L/r) = 2^(192/r),
-a shift too.  Input and output are both in natural order.  Every stage
-is ``shift_dft``, the one butterfly kernel: a radix-2 transform of any
+twiddles.  Input and output are both in natural order.  Every stage is
+``shift_dft``, the one butterfly kernel: a radix-2 transform of any
 length B up to 64, whose twiddles 2^(192k/B) are all shifts as 2 has
 order 192, and which ``engines``' block engine also runs along the row
 axis.
@@ -17,11 +17,12 @@ A batch is transformed in chunks of 2^18 values with the batch axis
 innermost, the four-step layout of Bailey ("FFTs in external or
 hierarchical memory", J. Supercomputing 4, 1990) applied within each
 chunk: 4 rows per chunk at length 65536, 256 at 1024 (``batch_rows``).
-A stage runs its 16-point butterflies one pair of rows at a time, in
-place but for one spare row, then multiplies each of its 16 output rows
+A stage runs its r-point butterflies one pair of rows at a time, in
+place but for one spare row, then multiplies each of its r output rows
 by its twiddles and writes it straight to its transposed place in the
-next stage's buffer.  The last radix-r stage, whose rows are 16/r
-pieces long, runs on one piece of columns at a time.  So every
+next stage's buffer.  Every stage runs on one piece of columns at a
+time: a radix-16 stage of a full chunk is one piece, and a last stage
+of radix r, whose rows are 16/r pieces long, takes several.  So every
 elementwise kernel call works on at most 16384 values and writes into
 buffers that one transform call allocates once: two chunk buffers, a
 spare row and the kernels' temporaries.  The inverse applies its 1/N
@@ -153,58 +154,45 @@ def _transform(d: np.ndarray, spare: np.ndarray, row_spare: np.ndarray,
                inverse: bool, tmp: tuple) -> np.ndarray:
     """Transform along axis 0 of a (length, m) array.
 
-    Radix-16 decimation in frequency with the independent columns
-    innermost, down to a length of 16 or a last radix-2, 4 or 8 stage
-    (``_last_stage``).  Each radix-16 stage multiplies row p of the
-    16-point outputs by its twiddles and writes it straight to its
-    transposed place, so with a full chunk every kernel call sees
-    length*m/16 = ``gl.PIECE`` values.  The stages alternate between d and
-    ``spare``, a contiguous array of the same size; both are
-    overwritten, and the one holding the result is returned.
-    ``row_spare`` and the kernel temporaries ``tmp`` (from
-    ``goldilocks.scratch``) hold at least length*m/16 values each.
+    Decimation in frequency with the independent columns innermost, one
+    stage at a time on the remaining length n, of radix r = min(16, n):
+    so the last stage has radix 2, 4, 8 or 16.  A stage runs
+    ``shift_dft`` on r rows, multiplies row p by its twiddles unless it
+    is the last, and writes the row straight to its transposed place.
+    It works on pieces of columns of at most ``gl.PIECE`` values: one
+    for a radix-16 stage of a full chunk, several for a last stage of
+    lower radix.  The stages alternate between d and ``spare``, a
+    contiguous array of the same size; both are overwritten, and the one
+    holding the result is returned in d's shape.  ``row_spare`` and the
+    kernel temporaries ``tmp`` (from ``goldilocks.scratch``) hold a
+    piece each.
     """
-    length, m = d.shape
-    if length == 1:
-        return d
-    if length < 16:
-        return _last_stage(d, spare, row_spare, inverse, tmp)
-    cols = length // 16
-    flat = tuple(t[:cols * m] for t in tmp)
-    rows = shift_dft(d.reshape(16, cols * m), row_spare[:cols * m], inverse, flat)
-    # every row is read into z below, so the next stage may reuse row_spare
-    z = spare.reshape(cols, 16, m)
-    lo, hi = _twiddle_table(length, inverse)
-    shaped = tuple(t.reshape(cols, m) for t in flat)
-    for p, q in enumerate(bit_reversal(16)):
-        row = rows[p].reshape(cols, m)
-        if p and cols > 1:  # row 0 and the length-16 stage have unit twiddles
-            gl.v_mul_halves(row, lo[p], hi[p], z[:, q, :], shaped)
-        else:
-            z[:, q, :] = row
-    return _transform(z.reshape(cols, 16 * m), d.reshape(cols, 16 * m),
-                      row_spare, inverse, tmp).reshape(length, m)
-
-
-def _last_stage(d: np.ndarray, spare: np.ndarray, row_spare: np.ndarray,
-                inverse: bool, tmp: tuple) -> np.ndarray:
-    """The last radix-r stage, r = 2, 4 or 8, of ``_transform`` on a (r, m) array.
-
-    Its twiddles are all 1, and its outputs go to their natural rows of
-    ``spare``, which is returned.  A row holds m = chunk/r values, more
-    than a piece, so the butterflies run on a piece of columns at a time.
-    """
-    radix, m = d.shape
-    out = spare.reshape(radix, m)
-    piece = len(tmp[0])
-    for c in range(0, m, piece):
-        part = slice(c, c + piece)
-        width = len(d[0, part])
-        rows = shift_dft(d[:, part], row_spare[:width], inverse,
-                         tuple(t[:width] for t in tmp))
-        for p, q in enumerate(bit_reversal(radix)):
-            out[q, part] = rows[p]
-    return out
+    shape, piece = d.shape, len(tmp[0])
+    length, m = shape
+    while length > 1:
+        radix = min(16, length)
+        cols = length // radix
+        src, dst = d.reshape(radix, cols, m), spare.reshape(cols, radix, m)
+        if cols > 1:  # the last stage has unit twiddles
+            lo, hi = _twiddle_table(length, inverse)
+        width = min(m, piece // cols)
+        for c in range(0, m, width):
+            cut = slice(c, c + width)
+            size = src[0, :, cut].size
+            flat = tuple(t[:size] for t in tmp)
+            rows = shift_dft(src[:, :, cut].reshape(radix, size), row_spare[:size],
+                             inverse, flat)
+            # every row is read into dst below, so the next piece may reuse row_spare
+            shaped = tuple(t.reshape(cols, -1) for t in flat)
+            for p, q in enumerate(bit_reversal(radix)):
+                row, target = rows[p].reshape(cols, -1), dst[:, q, cut]
+                if p and cols > 1:  # row 0 has unit twiddles
+                    gl.v_mul_halves(row, lo[p], hi[p], target, shaped)
+                else:
+                    target[...] = row
+        d, spare = dst.reshape(cols, radix * m), d
+        length, m = cols, radix * m
+    return d.reshape(shape)
 
 
 def _check_input(v: np.ndarray) -> tuple[np.ndarray, bool]:

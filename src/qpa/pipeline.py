@@ -157,10 +157,11 @@ def schedule(params: PaParams, workers: int | None = None) -> Schedule:
     """The run at ``workers`` processes: the given count, else QPA_WORKERS, else 1.
 
     The count must be a positive integer; the shares are capped by the
-    blocks and the usable CPUs.  Share k streams blocks bounds[k] ..
-    bounds[k+1] - 1 on the engine of B = sizes[k] (0: the MAC), which
-    need seed words bounds[k] .. bounds[k+1] + passes - 2, so the
-    ``shared`` words two ranges need are the passes - 1 from the start
+    blocks and the usable CPUs (all CPUs where the platform has no
+    ``os.sched_getaffinity``, as macOS has not).  Share k streams blocks
+    bounds[k] .. bounds[k+1] - 1 on the engine of B = sizes[k] (0: the
+    MAC), which need seed words bounds[k] .. bounds[k+1] + passes - 2,
+    so the ``shared`` words two ranges need are the passes - 1 from the start
     of each range but the first.  A range holds held[k] bytes: its key
     and seed windows of K and K + passes - 1 rows (``bigint.steps``) and
     its engine's buffers.  The ``buffer`` bytes hold the shared seed
@@ -175,7 +176,11 @@ def schedule(params: PaParams, workers: int | None = None) -> Schedule:
     if workers < 1:
         raise InvalidWorkers(f"worker count must be at least 1, got {workers}")
     n, passes, length = params.n, params.pass_count, params.L
-    shares = min(workers, n, len(os.sched_getaffinity(0)))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    shares = min(workers, n, cpus)
     bounds = tuple(k * n // shares for k in range(shares + 1))
     shared = tuple(sorted({r for b in bounds[1:-1] for r in range(b, b + passes - 1)}))
     sizes, held = [], []

@@ -452,14 +452,13 @@ def test_tables_are_built_once_and_rebuilt_once_after_a_clear(monkeypatch):
     # each twiddle table and digit layout is built from goldilocks.powers
     # on first use and kept: a repeat call builds none, and after either
     # module's cache clear the next call builds that module's tables
-    # exactly once.  The length-256 transform's second stage is a
-    # length-16 transform, with tables of its own
+    # exactly once.  The length-256 transform's last stage, a radix-16
+    # stage with unit twiddles, builds no table
     def both_ways(base, size):
         return [(base, size), (pow(base, -1, P64), size)]
 
     gamma, length = 127, 256
-    twiddles = sorted(both_ways(gl.root_of_unity(length), length)
-                      + both_ways(gl.root_of_unity(16), 16))
+    twiddles = sorted(both_ways(gl.root_of_unity(length), length))
     weights = sorted(both_ways(bigint._theta(length), length))
     v = np.arange(length, dtype=np.uint64)
     x = bigint.Words.from_ints([3, 5, 7], gamma)

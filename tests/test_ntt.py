@@ -35,8 +35,9 @@ def test_all_ones_transform():
     assert np.array_equal(ntt.ntt_forward(ones), expected)
 
 
-# 32, 64 and 128 end in a radix-2, 4 and 8 stage, and so does 1024 after
-# two radix-16 stages; the naive oracle takes seconds a row at 1024
+# the last stage has radix 16 at 16 and 256, and radix 2, 4 and 8 at 32,
+# 64 and 128; 1024 ends in a radix-4 stage after two radix-16 stages.  The
+# naive oracle takes seconds a row at 1024
 @pytest.mark.parametrize("length", [16, 32, 64, 128, 256, 1024])
 def test_forward_matches_naive(length):
     rng = np.random.default_rng(length)
@@ -127,7 +128,7 @@ def test_corrupted_twiddles_detected():
 
 
 # part of a chunk, and full 2^18-value chunks at production lengths, two
-# of them with a last radix-2 or radix-4 stage
+# of them with a last stage of radix 4 or 2
 @pytest.mark.parametrize("shape", [(16, 4096), (1, 65536), (4, 65536), (64, 4096),
                                    (256, 1024), (8192, 32)])
 def test_peak_memory_stays_near_the_input(shape):
@@ -148,7 +149,7 @@ def test_peak_memory_stays_near_the_input(shape):
 
 @pytest.mark.parametrize("length", [32, 1024, 2048, 65536])
 def test_kernel_calls_stay_within_a_piece(length, monkeypatch):
-    # the last radix-2, 4 or 8 stage's rows are longer than a piece; it
+    # a last stage of radix 2, 4 or 8 has rows longer than a piece; it
     # must run on pieces, or the kernels would spill their temporaries
     # counted from cold, as the twiddle tables and digit weights are built
     # from powers of a root on first use, within pieces too
@@ -204,18 +205,26 @@ def coefficient(row, root, k):
     return total % P
 
 
-@pytest.mark.parametrize("length", [4096, 65536])
-def test_large_lengths_match_the_definition(length):
-    # a few coefficients of each direction on a random row and a row of
-    # edge values; the naive oracle is too slow at these lengths
-    rng = np.random.default_rng(length + 4)
+# two rows at lengths with a last radix-16 stage, and full chunks whose
+# last stage runs on several pieces: radix 4 at 1024, radix 8 at 2048 and
+# 32768; 300 rows at 1024 leave a ragged second chunk
+@pytest.mark.parametrize("length, rows", [(4096, 2), (65536, 2), (1024, 256),
+                                          (2048, 128), (32768, 8), (1024, 300)],
+                         ids=["4096", "65536", "1024x256", "2048x128", "32768x8",
+                              "1024x300"])
+def test_large_lengths_match_the_definition(length, rows):
+    # a few coefficients of each direction on the first row, random, and
+    # the last, of edge values; the naive oracle is too slow at these lengths
+    rng = np.random.default_rng(length + rows)
     edges = np.array([0, 1, (1 << 32) - 1, 1 << 32, 1 << 63, P - 2, P - 1],
                      dtype=np.uint64)
-    batch = np.stack([rand_vec(rng, length), rng.choice(edges, size=length)])
+    batch = rand_vec(rng, length, batch=rows)
+    batch[-1] = rng.choice(edges, size=length)
     w = gl.root_of_unity(length)
     w_inv, scale = pow(w, -1, P), pow(length, -1, P)
     forward, inverse = ntt.ntt_forward(batch), ntt.ntt_inverse(batch)
-    for row, fwd, inv in zip(batch.tolist(), forward.tolist(), inverse.tolist()):
+    for i in (0, -1):
+        row, fwd, inv = batch[i].tolist(), forward[i].tolist(), inverse[i].tolist()
         for k in (0, 1, length // 2 + 3, length - 1):
             assert fwd[k] == coefficient(row, w, k)
             assert inv[k] == coefficient(row, w_inv, k) * scale % P

@@ -561,6 +561,17 @@ def test_schedule_caps_the_shares_and_splits_the_ranges(monkeypatch):
         assert len(run.sizes) == len(run.held) == run.shares
 
 
+@pytest.mark.parametrize("cpus, shares", [(3, 3), (None, 1)])
+def test_schedule_without_sched_getaffinity_counts_all_cpus(monkeypatch, cpus, shares):
+    # macOS has no os.sched_getaffinity: the shares are capped by
+    # os.cpu_count(), or run in one process where that is unknown
+    params = pipeline.plan(127 * 10, 127 * 4 + 5, 127)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert pipeline.schedule(params, 8).shares == shares
+    assert pipeline.schedule(params, 2).shares == min(2, shares)
+
+
 def test_pass_and_multiplication_counts(monkeypatch):
     # the perf model: each block and seed word is transformed once, each
     # pass sums its products in the spectrum and inverts once, and nothing
