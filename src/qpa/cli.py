@@ -2,6 +2,9 @@
 
 Timing lives in the benchmark, ``python3 perfbench/run.py``.
 
+``qpa selftest`` runs ``_selftest_suites``, each also a test in
+``tests/test_cli.py``; its negative controls run through ``_fault_control``.
+
 File formats (all little-endian, LSB-first within bytes):
   key file   bit i of the stream = bit (i mod 8) of byte floor(i/8)
   seed file  A as consecutive gamma-bit words, then b, then c; b is
@@ -108,10 +111,34 @@ def _check(ok: bool, what: str) -> None:
         raise AssertionError(what)
 
 
+def _fault_control(holds, corrupt, clear) -> None:
+    """A negative control: ``holds()`` is true, false once ``corrupt()`` has
+    run, and true again after ``clear()``, which runs whatever the detection
+    check finds."""
+    _check(holds(), "the check fails before any corruption")
+    try:
+        corrupt()
+        _check(not holds(), "corruption went undetected")
+    finally:
+        clear()
+    _check(holds(), "clearing the corruption did not restore the check")
+
+
 def _selftest_suites():
-    rng = np.random.default_rng(2024)
+    """(name, suite) pairs; each suite seeds its own generator, so every run
+    of it draws the same inputs."""
+
+    def key_and_seed(rng, params):
+        """A key with no all-ones block, drawn again until there is one, and a seed."""
+        while True:
+            x = rng.integers(0, 2, size=params.N, dtype=np.uint8)
+            seed_bits = rng.integers(
+                0, 2, size=pipeline.required_seed_bits(params), dtype=np.uint8)
+            if not bigint.Words(x, params.gamma, params.n, params.N).all_ones():
+                return x, pipeline.seed_from_bits(seed_bits, params)
 
     def field_oracle():
+        rng = np.random.default_rng(2024)
         p = goldilocks.P64
         a, b = (rng.integers(0, p, size=1000, dtype=np.uint64) for _ in range(2))
         expected = [x * y % p for x, y in zip(a.tolist(), b.tolist())]
@@ -120,6 +147,7 @@ def _selftest_suites():
                "v_mul differs from Python ints")
 
     def ntt_roundtrip():
+        rng = np.random.default_rng(2024)
         # 5 x 65536 and 300 x 1024 batches span two transform chunks, the
         # second ragged, and 1024's last stage has radix 4, on several pieces
         for shape in ((16,), (256,), (5, 65536), (300, 1024)):
@@ -131,6 +159,7 @@ def _selftest_suites():
                "forward transform vs naive")
 
     def ring_product():
+        rng = np.random.default_rng(2024)
         # the weighted-transform product every distill pass runs
         for gamma in (521, 4253, 19937):
             p = (1 << gamma) - 1
@@ -143,35 +172,28 @@ def _selftest_suites():
                        f"product mod 2^{gamma} - 1")
 
     def distill_equivalence():
+        rng = np.random.default_rng(2024)
         params = pipeline.plan(140, 20, 7)
         for _ in range(10):
-            while True:
-                x = rng.integers(0, 2, size=params.N, dtype=np.uint8)
-                seed_bits = rng.integers(
-                    0, 2, size=pipeline.required_seed_bits(params), dtype=np.uint8)
-                seed = pipeline.seed_from_bits(seed_bits, params)
-                try:
-                    fast = pipeline.distill(x, seed, params)
-                    slow = oracle.naive_distill(x, seed, params)
-                except AllOnesBlock:
-                    continue
-                break
-            _check(np.array_equal(fast, slow), "distilled key differs")
+            x, seed = key_and_seed(rng, params)
+            _check(np.array_equal(pipeline.distill(x, seed, params),
+                                  oracle.naive_distill(x, seed, params)),
+                   "distilled key differs")
 
     def workers_equivalence():
-        # two workers fork a child for each fan-out on a machine with 2+ CPUs;
+        rng = np.random.default_rng(2024)
+        # 2 workers fork a child for each fan-out where 2 CPUs are usable;
         # 14 passes over 70 blocks take the block engine, whose 35-block
-        # ranges at 2 workers end in partial sections
+        # ranges at 2 shares end in partial sections
         params = pipeline.plan(127 * 70, 127 * 13 + 50, 127)
-        x = rng.integers(0, 2, size=params.N, dtype=np.uint8)
-        x[::127] = 0   # no block is all ones
-        seed_bits = rng.integers(
-            0, 2, size=pipeline.required_seed_bits(params), dtype=np.uint8)
-        one, two = (pipeline.distill(x, pipeline.seed_from_bits(seed_bits, params),
-                                     params, workers=w) for w in (1, 2))
+        x, seed = key_and_seed(rng, params)
+        one, two = (pipeline.distill(x, seed, params, workers=w) for w in (1, 2))
         _check(np.array_equal(one, two), "keys at 1 and 2 workers differ")
+        print(f"    2 workers ran {pipeline.schedule(params, 2).shares} share(s)",
+              flush=True)
 
     def census():
+        rng = np.random.default_rng(2024)
         best = 0
         for _ in range(20):
             x1 = tuple(int(v) for v in rng.integers(0, 7, size=2))
@@ -183,24 +205,20 @@ def _selftest_suites():
             _check(count <= 7, f"{count} collisions for {x1}, {x2}")
         print(f"    max collision count {best} <= bound 7", flush=True)
 
-    def negative_control():
-        # a corrupted twiddle table must break the round trip
+    def twiddle_fault():
+        rng = np.random.default_rng(2024)
+        # a corrupted twiddle table must change the transform
         v = rng.integers(0, 1 << 24, size=256).astype(np.uint64)
         spectrum = ntt.ntt_forward(v)
-        ntt._testing_corrupt_twiddle(256)
-        try:
-            corrupted = ntt.ntt_forward(v)
-            _check(not np.array_equal(corrupted, spectrum),
-                   "corruption went undetected")
-        finally:
-            ntt._testing_clear_cache()
-        _check(np.array_equal(ntt.ntt_forward(v), spectrum),
-               "clearing the cache did not restore the transform")
+        _fault_control(lambda: np.array_equal(ntt.ntt_forward(v), spectrum),
+                       lambda: ntt._testing_corrupt_twiddle(256), ntt._testing_clear_cache)
 
-    def shift_negative_control():
-        # a block-engine pass (B = 32) with one butterfly shift off by a bit
-        # must differ from plain ints, and clearing the cache must restore it
+    def shift_fault():
+        rng = np.random.default_rng(2024)
+        # a block-engine pass (B = 32, as distill picks here) with one
+        # butterfly shift off by a bit must differ from plain ints
         gamma, n, passes = 127, 40, 14
+        _check(engines.block_size(n, passes) == 32, "40 rows and 14 passes take B = 32")
         p = (1 << gamma) - 1
         xs, coeffs = ([int.from_bytes(rng.bytes(16), "little") % p for _ in range(k)]
                       for k in (n, n + passes - 1))
@@ -208,38 +226,28 @@ def _selftest_suites():
         expected = [sum(v * coeffs[k + q] for k, v in enumerate(xs)) % p
                     for q in range(passes)]
 
-        def sums():
+        def sums_hold():
             out = np.zeros((passes, bigint.transform_shape(gamma, n)[0]), dtype=np.uint64)
             engine = engines.BlockSums(32, passes)
-            return bigint.to_ints(bigint.pass_spectra(x, a.fill, engine, out), gamma)
+            return bigint.to_ints(bigint.pass_spectra(x, a.fill, engine, out),
+                                  gamma) == expected
 
-        _check(sums() == expected, "block-engine pass sums")
-        ntt._testing_corrupt_shift(32)
-        try:
-            _check(sums() != expected, "corruption went undetected")
-        finally:
-            ntt._testing_clear_cache()
-        _check(sums() == expected, "clearing the cache did not restore the pass sums")
+        _fault_control(sums_hold, lambda: ntt._testing_corrupt_shift(32),
+                       ntt._testing_clear_cache)
 
-    def weight_negative_control():
-        # a corrupted digit weight must break a weighted ring product
+    def weight_fault():
+        rng = np.random.default_rng(2024)
+        # a corrupted digit weight, at the length the one-row product runs,
+        # must break a weighted ring product
         gamma = 521
         p = (1 << gamma) - 1
         x, y = p - 1, int.from_bytes(rng.bytes(66), "little") % p
-
-        def product():
-            return bigint.dot(bigint.Words.from_ints([x], gamma),
-                              bigint.Words.from_ints([y], gamma))
-
-        _check(product() == x * y % p, "weighted product")
-        # at the length the one-row product runs
-        bigint._testing_corrupt_weight(gamma, bigint.transform_shape(gamma, 1)[0])
-        try:
-            _check(product() != x * y % p, "corruption went undetected")
-        finally:
-            bigint._testing_clear_cache()
-        _check(product() == x * y % p,
-               "clearing the cache did not restore the product")
+        _fault_control(
+            lambda: bigint.dot(bigint.Words.from_ints([x], gamma),
+                               bigint.Words.from_ints([y], gamma)) == x * y % p,
+            lambda: bigint._testing_corrupt_weight(
+                gamma, bigint.transform_shape(gamma, 1)[0]),
+            bigint._testing_clear_cache)
 
     return [
         ("field multiply vs wide-integer oracle", field_oracle),
@@ -249,10 +257,9 @@ def _selftest_suites():
         ("distill at 2 workers equals 1 worker (gamma=127, block engine)",
          workers_equivalence),
         ("universality census (gamma=3, n=2, m=2)", census),
-        ("twiddle fault injection (negative control)", negative_control),
-        ("block butterfly shift fault injection (negative control)",
-         shift_negative_control),
-        ("digit weight fault injection (negative control)", weight_negative_control),
+        ("twiddle fault injection (negative control)", twiddle_fault),
+        ("block butterfly shift fault injection (negative control)", shift_fault),
+        ("digit weight fault injection (negative control)", weight_fault),
     ]
 
 

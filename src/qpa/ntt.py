@@ -134,14 +134,12 @@ def half_inputs(x: list, size: int, half: int, out: list, tmp: tuple) -> None:
     each pair feeds a size/2-point ``shift_dft`` whose outputs are the
     first half of the size-point outputs, and the second the other
     half, so a caller can run the halves one after the other on
-    size/2 rows.  ``x`` holds the leading input rows, which are only
-    read; the rest are zero.
+    size/2 rows.  ``x`` holds the leading input rows, more than size/2
+    of them, which are only read; the rest are zero.
     """
     for r, s, _, shift in _butterflies(size, False)[:size // 2]:
         row = out[r]
-        if r >= len(x):
-            row[...] = 0
-        elif s >= len(x):  # x_s is zero
+        if s >= len(x):  # x_s is zero
             gl.v_shl(x[r], shift * half, row, tmp)
         elif half:
             gl.v_sub(x[r], x[s], row, tmp)

@@ -397,6 +397,37 @@ def test_selftest_passes(capsys):
     assert "negative control" in out
 
 
+@pytest.mark.parametrize("suite", [suite for _, suite in cli._selftest_suites()],
+                         ids=lambda suite: suite.__name__)
+def test_selftest_suite(suite):
+    # each suite `qpa selftest` runs, on the same inputs
+    suite()
+
+
+def test_selftest_fault_control_needs_the_fault_seen_and_cleared():
+    fault, clears = [], []
+
+    def corrupt():
+        fault.append(True)
+
+    def clear():
+        clears.append(True)
+        fault.clear()
+
+    cli._fault_control(lambda: not fault, corrupt, clear)
+    assert len(clears) == 1
+    # a check blind to the corruption fails, and the corruption is cleared
+    with pytest.raises(AssertionError, match="went undetected"):
+        cli._fault_control(lambda: True, corrupt, clear)
+    assert not fault and len(clears) == 2
+    # so does a clear that does not restore the check
+    with pytest.raises(AssertionError, match="did not restore"):
+        cli._fault_control(lambda: not fault, corrupt, lambda: None)
+    # and a check that fails before any corruption
+    with pytest.raises(AssertionError, match="before any corruption"):
+        cli._fault_control(lambda: False, corrupt, clear)
+
+
 def test_selftest_prints_suite_times(capsys, monkeypatch):
     def broken():
         raise AssertionError("boom")
