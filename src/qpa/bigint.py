@@ -2,10 +2,11 @@
 
 The pass kernel is a weighted Mersenne transform (the irrational-base
 discrete weighted transform of Crandall and Fagin, Math. Comp. 62,
-1994), done exactly over the Goldilocks field, at a power-of-two length
-L.  Digit j of a value holds bits e_j .. e_(j+1) - 1, where
-e_j = ceil(j*gamma/L), at most b = ceil(gamma/L) bits, and is weighted
-by theta^(L*e_j - j*gamma) with theta^L = 2.  A length-L cyclic
+1994), done exactly over the Goldilocks field, at a length L of
+``ntt.SUPPORTED_LENGTHS``: a power of two or five times one.  Digit j
+of a value holds bits e_j .. e_(j+1) - 1, where e_j = ceil(j*gamma/L),
+at most b = ceil(gamma/L) bits, and is weighted by
+theta^(L*e_j - j*gamma) with theta^L = 2.  A length-L cyclic
 convolution of weighted digits, divided by the weights, gives
 coefficients c_k with
 
@@ -17,11 +18,14 @@ products; while n times that bound stays below the field modulus, the
 whole sum is exact in the spectrum and costs one inverse transform.
 So ``transform_shape`` picks, once per plan, the shortest L whose
 bound holds for the plan's n rows: L = 1024 with 20-bit digits for
-n = 133 at gamma 19937, and L = 65536 with 12-bit digits at gamma
-756839, where L = 32768 holds one row.  The bound also sets the widest
+n = 133 at gamma 19937, and L = 40960 = 5 * 8192 with 19-bit digits for
+up to 819 rows at gamma 756839, where L = 32768 holds one row and
+L = 65536, with 12-bit digits, 8392705.  The bound also sets the widest
 gamma, 23 * 65536: past it not one product is exact (``InvalidGamma``).
-The lengths 3 * 2^k would need theta^L = 2 with 3 | L, that is 2 a
-cube modulo p, and it is not.  Every other function takes L from the
+A length L = 5M needs theta^L = 2, so 2 a fifth power modulo p, and
+3 * 2^k would need 2 a cube.  As 2 has order 192, it is a k-th power
+exactly when k divides (p - 1) / 192 = 2^26 * 5 * 17 * 257 * 65537:
+5 does (``_theta``), 3 does not.  Every other function takes L from the
 width of the spectra it is given.
 
 ``Words`` is the one form of gamma-bit rows: one packed bit stream,
@@ -107,10 +111,14 @@ def max_rows(gamma: int) -> int:
 def _theta(length: int) -> int:
     """A root theta with theta^length = 2 in the Goldilocks field.
 
-    R = 7^((p-1)/(64L)) has order 64L, so R^(23L) is a primitive 64th
-    root of unity; it equals 2^(-63), and 2^64 has order 3, so
-    R^23 * (2^64)^(L^-1 mod 3) raised to L is 2^(-63) * 2^64 = 2.
+    For L a power of two, R = 7^((p-1)/(64L)) has order 64L, so R^(23L)
+    is a primitive 64th root of unity; it equals 2^(-63), and 2^64 has
+    order 3, so R^23 * (2^64)^(L^-1 mod 3) raised to L is 2^(-63) * 2^64
+    = 2.  For L = 5M, theta = _theta(M)^77: its L-th power is 2^385,
+    and 385 = 5 * 77 = 1 (mod 192), the order of 2.
     """
+    if length % 5 == 0:
+        return pow(_theta(length // 5), 77, gl.P64)
     r = pow(gl.GENERATOR, (gl.P64 - 1) // (64 * length), gl.P64)
     return (pow(r, 23, gl.P64) * pow(1 << 64, pow(length, -1, 3), gl.P64)
             % gl.P64)

@@ -148,9 +148,10 @@ def _selftest_suites():
 
     def ntt_roundtrip():
         rng = np.random.default_rng(2024)
-        # 5 x 65536 and 300 x 1024 batches span two transform chunks, the
-        # second ragged, and 1024's last stage has radix 4, on several pieces
-        for shape in ((16,), (256,), (5, 65536), (300, 1024)):
+        # 5 x 65536, 7 x 40960 and 300 x 1024 batches span two transform
+        # chunks, the second ragged; 1024's last stage has radix 4, on
+        # several pieces, and 40960 = 5 * 8192 runs the 5-point stage
+        for shape in ((16,), (256,), (5, 65536), (7, 40960), (300, 1024)):
             v = rng.integers(0, 1 << 24, size=shape).astype(np.uint64)
             _check(np.array_equal(ntt.ntt_inverse(ntt.ntt_forward(v)), v),
                    f"round trip of shape {shape}")
@@ -213,6 +214,15 @@ def _selftest_suites():
         _fault_control(lambda: np.array_equal(ntt.ntt_forward(v), spectrum),
                        lambda: ntt._testing_corrupt_twiddle(256), ntt._testing_clear_cache)
 
+    def rader_fault():
+        rng = np.random.default_rng(2024)
+        # a corrupted factor of the 5-point kernel's products must change a
+        # transform of length 5 * 2^k
+        v = rng.integers(0, 1 << 24, size=160).astype(np.uint64)
+        spectrum = oracle.naive_ntt(v)
+        _fault_control(lambda: np.array_equal(ntt.ntt_forward(v), spectrum),
+                       ntt._testing_corrupt_rader, ntt._testing_clear_cache)
+
     def shift_fault():
         rng = np.random.default_rng(2024)
         # a block-engine pass (B = 32, as distill picks here) with one
@@ -258,6 +268,7 @@ def _selftest_suites():
          workers_equivalence),
         ("universality census (gamma=3, n=2, m=2)", census),
         ("twiddle fault injection (negative control)", twiddle_fault),
+        ("5-point kernel fault injection (negative control)", rader_fault),
         ("block butterfly shift fault injection (negative control)", shift_fault),
         ("digit weight fault injection (negative control)", weight_fault),
     ]

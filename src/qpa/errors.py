@@ -6,11 +6,12 @@ class QpaError(Exception):
 
 
 class UnsupportedOrder(QpaError):
-    """root_of_unity called with an order that does not divide 65536."""
+    """root_of_unity called with an order that is neither a divisor of 65536 nor five times one."""
 
 
 class UnsupportedLength(QpaError):
-    """Transform input is not a vector or batch whose length is a power of two in 16..65536."""
+    """Transform input is not a vector or batch whose length is a power of
+    two from 16 to 65536 or five times one from 80 to 40960."""
 
 
 class LengthMismatch(QpaError):

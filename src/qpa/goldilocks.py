@@ -1,9 +1,10 @@
 """Arithmetic in the prime field of order p = 2^64 - 2^32 + 1.
 
 This field is the coefficient domain of the number-theoretic transform.
-Its multiplicative group has order 2^32 * (2^32 - 1), so roots of unity
-exist for every power-of-two order up to 2^32, and 2^96 = -1 (mod p),
-which makes small powers of two cheap to multiply by.
+Its multiplicative group has order p - 1 = 2^32 * 3 * 5 * 17 * 257 *
+65537, so roots of unity exist for every power-of-two order up to 2^32
+and for five times each, and 2^96 = -1 (mod p), which makes small
+powers of two cheap to multiply by.
 
 The ``v_*`` functions are the vectorized kernels used by the transform
 engine.  They take canonical ``numpy.uint64`` arrays (0 <= value < p)
@@ -68,14 +69,24 @@ OMEGA_65536 = _canonical_omega_65536()
 
 
 def root_of_unity(order: int) -> int:
-    """Primitive order-th root of unity; order must divide 65536.
+    """Primitive order-th root of unity; order must be M or 5M for M dividing 65536.
 
-    Every root is a power of OMEGA_65536, so every radix-16 stage sees
-    w16 = 4096.
+    Every root of order M is a power of OMEGA_65536, so every radix-16
+    stage sees w16 = 4096.  The root of order 5 is g^((p-1)/5), the root
+    the transform's 5-point kernel takes, and the root w of order 5M is
+    the one with w^5 the root of order M and w^M that of order 5, which
+    the prime-factor map of the transform (``ntt``) needs: w = w_M^u *
+    w_5^v with 5u = 1 (mod M) and Mv = 1 (mod 5).
     """
-    if order <= 0 or 65536 % order != 0:
-        raise UnsupportedOrder(f"order {order} does not divide 65536")
-    return pow(OMEGA_65536, 65536 // order, P64)
+    if order > 0 and 65536 % order == 0:
+        return pow(OMEGA_65536, 65536 // order, P64)
+    m = order // 5
+    if order <= 0 or order % 5 or 65536 % m:
+        raise UnsupportedOrder(f"order {order} is neither a divisor of 65536 "
+                               f"nor five times one")
+    w5 = pow(GENERATOR, (P64 - 1) // 5, P64)
+    return (pow(root_of_unity(m), pow(5, -1, m), P64)
+            * pow(w5, pow(m, -1, 5), P64) % P64)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +195,13 @@ def v_mul(a, b):
 
 
 def powers(base: int, count: int) -> np.ndarray:
-    """base^0 .. base^(count-1) for a power-of-two count, by doubling, a ``PIECE`` at a time."""
+    """base^0 .. base^(count-1), by doubling, a ``PIECE`` at a time."""
     out = np.ones(count, dtype=_U64)
     step = 1
     while step < count:
         factor = _U64(pow(base, step, P64))
-        for k in range(0, step, PIECE):
-            end = min(k + PIECE, step)
+        for k in range(0, min(step, count - step), PIECE):
+            end = min(k + PIECE, step, count - step)
             out[step + k:step + end] = v_mul(out[k:end], factor)
         step *= 2
     return out

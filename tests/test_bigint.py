@@ -231,10 +231,12 @@ def test_transform_shape_and_row_limit():
     assert bigint.transform_shape(521, 1) == (32, 17)
     # headline-shape's n = 133 blocks
     assert bigint.transform_shape(19937, 133) == (1024, 20)
-    # the headline's gamma: L = 32768 takes 24-bit digits and sums one row
+    # the headline's gamma: L = 32768 takes 24-bit digits and sums one row,
+    # L = 40960 19-bit digits and 819 rows
     assert bigint.transform_shape(756839, 1) == (32768, 24)
-    assert bigint.transform_shape(756839, 133) == (65536, 12)
-    assert bigint.transform_shape(786432, 2) == (65536, 12)
+    assert bigint.transform_shape(756839, 133) == (40960, 19)
+    assert bigint.transform_shape(756839, 820) == (65536, 12)
+    assert bigint.transform_shape(786432, 2) == (40960, 20)
     # no length sums even one product of 46-bit digits exactly
     assert bigint.max_rows(2976221) == 0
     with pytest.raises(InvalidGamma):
@@ -247,18 +249,20 @@ def test_transform_shape_and_row_limit():
 
 
 @pytest.mark.parametrize("gamma,length,width", [
-    (521, 32, 17), (19937, 1024, 20), (44497, 2048, 22), (756839, 65536, 12),
-    (859433, 65536, 14), (1257787, 65536, 20), (1398269, 65536, 22)])
+    (521, 32, 17), (19937, 1024, 20), (44497, 2048, 22), (756839, 40960, 19),
+    (756839, 65536, 12), (859433, 40960, 21), (859433, 65536, 14),
+    (1257787, 65536, 20), (1398269, 65536, 22)])
 def test_row_limit_picks_the_next_length(gamma, length, width):
     # with every digit at 2^b - 1, each coefficient of a row product is
     # below 2L(2^b - 1)^2: ``limit`` rows of them stay below p, one more
-    # may not, and that row moves the shape to the next length
+    # may not, and that row moves the shape to the next supported length
     worst = 2 * length * ((1 << width) - 1) ** 2
     limit = (P64 - 1) // worst
     assert limit * worst < P64 <= (limit + 1) * worst
     assert bigint.transform_shape(gamma, limit) == (length, width)
     if length < ntt.SUPPORTED_LENGTHS[-1]:
-        assert bigint.transform_shape(gamma, limit + 1)[0] == 2 * length
+        following = ntt.SUPPORTED_LENGTHS[ntt.SUPPORTED_LENGTHS.index(length) + 1]
+        assert bigint.transform_shape(gamma, limit + 1)[0] == following
     else:
         with pytest.raises(TooManyBlocks):
             bigint.transform_shape(gamma, limit + 1)

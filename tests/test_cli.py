@@ -27,15 +27,15 @@ def test_plan_output(capsys, monkeypatch):
     assert "seed bits = 112012172" in out
     # at 1 worker, 14 passes over the one range of 133 rows take the block
     # engine: a window of 19 key rows (a section) and 19 + 13 seed rows, a
-    # (32, L) accumulator of 65536 values, and a stack of 17 rows of the
+    # (32, L) accumulator of 40960 values, and a stack of 17 rows of the
     # key and seed columns, twice 16384 values.  The buffer holds the 14
     # pass rows and their residues of ceil(756839 / 8) bytes
-    assert "L         = 65536" in out
-    assert "b         = 12" in out
+    assert "L         = 40960" in out
+    assert "b         = 19" in out
     assert "shares    = 1" in out
     assert ("range 1   = blocks 1-133 on the block engine, B = 32, holding "
-            f"{83 * 65536 * 8 + 17 * 2 * 16384 * 8} bytes") in out
-    assert f"buffer    = {14 * 65536 * 8 + 14 * 94605} bytes" in out
+            f"{83 * 40960 * 8 + 17 * 2 * 16384 * 8} bytes") in out
+    assert f"buffer    = {14 * 40960 * 8 + 14 * 94605} bytes" in out
     assert "in one process" not in out
     # the same 133 blocks at gamma 19937 fit L = 1024 with 20-bit digits
     assert run(["plan", "--in-bits", 2_651_621, "--out-bits", 265_162,
@@ -51,12 +51,13 @@ def test_plan_output(capsys, monkeypatch):
     assert "n         = 80" in out
     assert "L         = 65536" in out
     assert "b         = 20" in out
-    # one pass over 40 rows takes the MAC: 16 key rows and 16 seed rows,
-    # and the buffer holds the pass row and its residue
+    # one pass over 40 rows takes the MAC: 18 key rows, three transform
+    # batches of 6, and 18 seed rows, and the buffer holds the pass row
+    # and its residue
     assert run(["plan", "--in-bits", 40 * 756839, "--out-bits", 100]) == 0
     out = capsys.readouterr().out
-    assert f"range 1   = blocks 1-40 on the MAC, holding {32 * 65536 * 8} bytes" in out
-    assert f"buffer    = {65536 * 8 + 94605} bytes" in out
+    assert f"range 1   = blocks 1-40 on the MAC, holding {36 * 40960 * 8} bytes" in out
+    assert f"buffer    = {40960 * 8 + 94605} bytes" in out
 
 
 def printed_ranges(out):

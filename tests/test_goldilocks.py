@@ -138,6 +138,17 @@ def test_root_of_unity_primitive(order):
         assert pow(w, order // 2, P) != 1
 
 
+@pytest.mark.parametrize("order", [5 << k for k in range(0, 17)])
+def test_root_of_unity_of_five_times_a_power_of_two(order):
+    # primitive, with w^5 the root of order M = order / 5 and w^M the root
+    # of order 5, which the transform's prime-factor map needs
+    w, m = gl.root_of_unity(order), order // 5
+    assert pow(w, order, P) == 1
+    assert pow(w, m, P) != 1 and (order % 2 or pow(w, order // 2, P) != 1)
+    assert pow(w, 5, P) == gl.root_of_unity(m)
+    assert pow(w, m, P) == gl.root_of_unity(5) == pow(gl.GENERATOR, (P - 1) // 5, P)
+
+
 @pytest.mark.parametrize("order", [0, 3, 6, 100, 1 << 17, 1 << 32, (1 << 32) * 2])
 def test_root_of_unity_rejects_bad_orders(order):
     with pytest.raises(UnsupportedOrder):
@@ -165,3 +176,9 @@ def test_power_table_matches_pow(base):
     table = gl.powers(base, 4096)
     assert table.dtype == np.uint64
     assert table.tolist() == [pow(base, k, P) for k in range(4096)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 80, 40960, 3 * gl.PIECE + 5])
+def test_power_table_takes_any_count(count):
+    base = gl.root_of_unity(40960)
+    assert gl.powers(base, count).tolist() == [pow(base, k, P) for k in range(count)]

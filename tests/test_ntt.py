@@ -36,9 +36,13 @@ def test_all_ones_transform():
 
 
 # the last stage has radix 16 at 16 and 256, and radix 2, 4 and 8 at 32,
-# 64 and 128; 1024 ends in a radix-4 stage after two radix-16 stages.  The
-# naive oracle takes seconds a row at 1024
-@pytest.mark.parametrize("length", [16, 32, 64, 128, 256, 1024])
+# 64 and 128; 1024 ends in a radix-4 stage after two radix-16 stages.  80,
+# 160, 320 and 640 run the 5-point stage before the same stages at 16 to
+# 128.  The naive oracle takes seconds a row at 1024
+FIVE_POINT_LENGTHS = [80, 160, 320, 640]
+
+
+@pytest.mark.parametrize("length", [16, 32, 64, 128, 256, 1024] + FIVE_POINT_LENGTHS)
 def test_forward_matches_naive(length):
     rng = np.random.default_rng(length)
     for _ in range(3 if length <= 256 else 1):
@@ -46,10 +50,10 @@ def test_forward_matches_naive(length):
         assert np.array_equal(ntt.ntt_forward(v), oracle.naive_ntt(v))
 
 
-@pytest.mark.parametrize("length", [16, 32, 64, 128, 256])
+@pytest.mark.parametrize("length", [16, 32, 64, 128, 256] + FIVE_POINT_LENGTHS)
 def test_inverse_matches_naive(length):
     rng = np.random.default_rng(length + 1)
-    for _ in range(3):
+    for _ in range(3 if length <= 256 else 1):
         X = rand_vec(rng, length)
         assert np.array_equal(ntt.ntt_inverse(X), oracle.naive_ntt_inverse(X))
 
@@ -69,13 +73,21 @@ def naive_cyclic_convolution(a, b):
     return np.array(out, dtype=np.uint64)
 
 
-@pytest.mark.parametrize("length", [16, 256])
+@pytest.mark.parametrize("length", [16, 256] + FIVE_POINT_LENGTHS)
 def test_convolution_theorem(length):
     rng = np.random.default_rng(length + 3)
     a = rand_vec(rng, length)
     b = rand_vec(rng, length)
     fast = ntt.ntt_inverse(gl.v_mul(ntt.ntt_forward(a), ntt.ntt_forward(b)))
     assert np.array_equal(fast, naive_cyclic_convolution(a, b))
+
+
+def test_five_point_zero_bin_factor_is_a_shift():
+    # e's bin 0 is the sum of the four primitive fifth roots, -1, so _dft5
+    # takes its factor -1/4 as the shift by 94 instead of reading it
+    for inverse in (False, True):
+        lo, hi = ntt._rader_products(inverse)
+        assert int(lo[0]) + (int(hi[0]) << 32) == pow(2, 94, P) == (-pow(4, -1, P)) % P
 
 
 def test_pointwise_identities():
@@ -101,7 +113,8 @@ def test_linearity():
 def test_batch_matches_per_row():
     rng = np.random.default_rng(10)
     # one chunk; two chunks of 2^18 values, the second ragged, at two lengths
-    for rows, length in ((7, 256), (1030, 256), (70, 4096), (300, 1024), (8200, 32)):
+    for rows, length in ((7, 256), (1030, 256), (70, 4096), (300, 1024), (8200, 32),
+                         (7, 40960)):
         batch = rand_vec(rng, length, batch=rows)
         stacked = ntt.ntt_forward(batch)
         for row_in, row_out in zip(batch, stacked):
@@ -113,12 +126,17 @@ def test_unsupported_length():
         ntt.ntt_forward(np.zeros(48, dtype=np.uint64))
     with pytest.raises(UnsupportedLength):
         ntt.ntt_inverse(np.zeros(17, dtype=np.uint64))
+    # five times a power of two only from 80 to 40960
+    for length in (40, 81920):
+        with pytest.raises(UnsupportedLength):
+            ntt.ntt_forward(np.zeros(length, dtype=np.uint64))
 
 
 # part of a chunk, and full 2^18-value chunks at production lengths, two
-# of them with a last stage of radix 4 or 2
+# of them with a last stage of radix 4 or 2; 7 rows of 40960 are a full
+# chunk of 6 and a second of one, each gathered by the prime-factor maps
 @pytest.mark.parametrize("shape", [(16, 4096), (1, 65536), (4, 65536), (64, 4096),
-                                   (256, 1024), (8192, 32)])
+                                   (256, 1024), (8192, 32), (7, 40960)])
 def test_peak_memory_stays_near_the_input(shape):
     # numpy reports its buffers to tracemalloc; the transform keeps two
     # chunk buffers, a spare row, the output and one set of kernel
@@ -135,13 +153,15 @@ def test_peak_memory_stays_near_the_input(shape):
     assert peak <= 8 * v.nbytes
 
 
-@pytest.mark.parametrize("length", [32, 1024, 2048, 65536])
+@pytest.mark.parametrize("length", [32, 1024, 2048, 65536, 40960])
 def test_kernel_calls_stay_within_a_piece(length, monkeypatch):
-    # a last stage of radix 2, 4 or 8 has rows longer than a piece; it
-    # must run on pieces, or the kernels would spill their temporaries
-    # counted from cold, as the twiddle tables and digit weights are built
-    # from powers of a root on first use, within pieces too
-    v = rand_vec(np.random.default_rng(15), length, batch=ntt.batch_rows(length))
+    # a last stage of radix 2, 4 or 8 has rows longer than a piece, and a
+    # 5-point stage columns longer than one; they must run on pieces, or
+    # the kernels would spill their temporaries.  A full chunk and a
+    # second of one row, counted from cold, as the twiddle tables and
+    # digit weights are built from powers of a root on first use, within
+    # pieces too
+    v = rand_vec(np.random.default_rng(15), length, batch=ntt.batch_rows(length) + 1)
     x = bigint.Words.from_ints([3, 5], 127)
     ntt._testing_clear_cache()
     bigint._testing_clear_cache()
@@ -195,11 +215,12 @@ def coefficient(row, root, k):
 
 # two rows at lengths with a last radix-16 stage, and full chunks whose
 # last stage runs on several pieces: radix 4 at 1024, radix 8 at 2048 and
-# 32768; 300 rows at 1024 leave a ragged second chunk
+# 32768; 300 rows at 1024 and 7 at 40960 leave a ragged second chunk
 @pytest.mark.parametrize("length, rows", [(4096, 2), (65536, 2), (1024, 256),
-                                          (2048, 128), (32768, 8), (1024, 300)],
+                                          (2048, 128), (32768, 8), (1024, 300),
+                                          (40960, 7)],
                          ids=["4096", "65536", "1024x256", "2048x128", "32768x8",
-                              "1024x300"])
+                              "1024x300", "40960x7"])
 def test_large_lengths_match_the_definition(length, rows):
     # a few coefficients of each direction on the first row, random, and
     # the last, of edge values; the naive oracle is too slow at these lengths

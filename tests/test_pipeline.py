@@ -175,7 +175,7 @@ ALL_ONES_PLANS = [
     (127, 70, 13 * 127 + 50, 1, 16, 32),
     (127, 70, 13 * 127 + 50, 2, 16, 32),
     (19937, 133, 13 * 19937 + 77, 2, 1024, 32),
-    (756839, 3, 2 * 756839 + 5, 1, 65536, 0),
+    (756839, 3, 2 * 756839 + 5, 1, 40960, 0),
 ]
 
 
@@ -216,7 +216,7 @@ def test_all_ones_rows_hash_as_zero(gamma, n, l, workers, length, block, monkeyp
 
 
 def test_distill_matches_naive_at_the_production_gamma(monkeypatch):
-    # a mixed plan of 3 blocks at L = 65536, one oracle key for both
+    # a mixed plan of 3 blocks at L = 40960, one oracle key for both
     # worker counts
     fake_cpus(monkeypatch, 2)
     gamma = 756839
@@ -233,15 +233,15 @@ def packed(values, gamma):
     return total.to_bytes(-(-len(values) * gamma // 8), "little")
 
 
-@pytest.mark.parametrize("gamma,n,width", [(859433, 4, 14), (1257787, 5, 20),
+@pytest.mark.parametrize("gamma,n,width", [(859433, 4, 21), (1257787, 5, 20),
                                            (1398269, 8, 22)])
 def test_distill_is_exact_at_the_widest_exponents(gamma, n, width, monkeypatch):
-    # exponents past the 12-bit digits of L = 65536, each with a mixed
-    # plan (one full pass and a 5-bit tail), against plain-int sums;
-    # 8 blocks are the most that 22-bit digits sum exactly
+    # exponents past gamma 756839, each with a mixed plan (one full pass
+    # and a 5-bit tail), against plain-int sums: 859433 at L = 40960, the
+    # others at 65536; 8 blocks are the most that 22-bit digits sum exactly
     fake_cpus(monkeypatch, 2)
     params = pipeline.plan(n * gamma, gamma + 5, gamma)
-    assert bigint.transform_shape(gamma, n) == (65536, width)
+    assert bigint.transform_shape(gamma, n) == (40960 if gamma == 859433 else 65536, width)
     assert n <= bigint.max_rows(gamma)
     p = (1 << gamma) - 1
     rng = np.random.default_rng(gamma)
@@ -403,12 +403,12 @@ def test_working_set_does_not_grow_with_the_blocks():
 
 @pytest.mark.parametrize("n", [256, 257, 300])
 def test_one_transform_length_per_plan(n, monkeypatch, deadline):
-    # at gamma 44497, L = 2048 sums up to 256 rows and L = 4096 more.  At
+    # at gamma 44497, L = 2048 sums up to 256 rows and L = 2560 more.  At
     # n = 300 each 150-block range of a 2-worker run would fit L = 2048
     # alone, but the ranges' spectra are summed, so the plan's L holds
     gamma = 44497
     assert bigint.transform_shape(gamma, 256)[0] == bigint.transform_shape(gamma, 150)[0] == 2048
-    assert bigint.transform_shape(gamma, 257)[0] == 4096
+    assert bigint.transform_shape(gamma, 257)[0] == 2560
     fake_cpus(monkeypatch, 2)
     # the lengths the parent's share transforms at, its range's and the sums'
     widths = set()
@@ -422,7 +422,7 @@ def test_one_transform_length_per_plan(n, monkeypatch, deadline):
     expected = bitio.bytes_from_bits(oracle.naive_distill(x, seed, params))
     for w in (1, 2):
         assert bitio.bytes_from_bits(pipeline.distill(x, seed, params, workers=w)) == expected
-    assert widths == {2048 if n <= 256 else 4096}
+    assert widths == {2048 if n <= 256 else 2560}
     assert_no_child_left()
 
 
