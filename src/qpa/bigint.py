@@ -32,14 +32,13 @@ width of the spectra it is given.
 kept as 64-bit words, whose row r starts at bit r*gamma.  Every reader
 gathers a batch of rows realigned to bit 0 straight from the stream,
 so no transform input is an int.  ``Words.fill`` writes the forward
-spectra of any rows asked for, ``ntt.batch_rows`` at a time: their
-weighted digits go straight into the caller's rows, which are then
+spectra of the rows asked for, weighted in the caller's rows and then
 transformed in place.  ``pass_spectra`` computes the spectra of P
 shifted row sums, the correlation of the key rows with the seed rows,
 in steps of a fixed number of key rows (Stockham's sectioned
 convolution, AFIPS SJCC 28, 1966), so its memory does not grow with
 the number of rows.  It keeps the windows, the fills and the seed-row
-moves; the engine its caller passes in sums each step's products.
+moves, dealt to the shares that run it; the engine sums the products.
 ``to_ints`` runs one inverse transform per sum and folds it to its
 canonical residue in [0, 2^gamma - 2], so no caller reduces, and
 ``dot`` is the one-pass case.
@@ -87,8 +86,8 @@ def _row_limit(length: int, gamma: int) -> int:
 def transform_shape(gamma: int, rows: int) -> tuple[int, int]:
     """(L, b): the shortest length whose pass sums ``rows`` products exactly, and its digit width.
 
-    A plan picks it once from its total row count, so every range and
-    pass of the plan runs at the same L.  This is the one check of which
+    A plan picks it once from its row count, so every row and pass of
+    the plan runs at the same L.  This is the one check of which
     (gamma, rows) pairs a plan takes.
     """
     for length in ntt.SUPPORTED_LENGTHS:
@@ -284,17 +283,13 @@ class Words:
     def fill(self, rows, out: np.ndarray) -> None:
         """Write the weighted forward spectrum of row ``rows[i]`` to ``out[i]``.
 
-        The spectra are as long as the rows of ``out``.  A transform
-        batch at a time: the weighted digits go straight to the rows of
-        ``out``, which are then transformed in place.
+        The rows of ``out`` are as long as the spectra; the weighted
+        digits go straight to them, which are then transformed in place.
+        ``pass_spectra`` asks for a transform batch (``ntt.batch_rows``) at a time.
         """
-        lay = _layout(self.gamma, out.shape[1])
-        batch = ntt.batch_rows(lay.length)
-        for k in range(0, len(rows), batch):
-            spectra = out[k:k + batch]
-            _weighted_digits(self._rows(rows[k:k + batch]), lay, spectra)
-            # through the module attribute, so row counters see every row
-            ntt.ntt_forward(spectra, out=spectra)
+        _weighted_digits(self._rows(rows), _layout(self.gamma, out.shape[1]), out)
+        # through the module attribute, so row counters see every row
+        ntt.ntt_forward(out, out=out)
 
 
 def _int_from_coefficients(coeffs: np.ndarray, lay: _Layout) -> int:
@@ -333,36 +328,51 @@ def steps(section: int, rows: int, length: int) -> tuple[int, int]:
     return keys, -(-min(keys, max(rows, 1)) // section) * section
 
 
-def pass_spectra(x: Words, seed_fill, engine, out: np.ndarray, start: int = 0,
-                 stop: int | None = None) -> np.ndarray:
-    """Add the spectra of sum_j x[j] * a[j + q], start <= j < stop, to out[q].
+def columns(share: int, shares: int, length: int) -> slice:
+    """The columns share k of S sums: k*L//S .. (k+1)*L//S - 1."""
+    return slice(share * length // shares, (share + 1) * length // shares)
 
-    ``out`` holds one row of canonical values per pass, and is returned;
-    its width is the transform length.  ``seed_fill(rows, out)``, such
-    as ``Words.fill``, writes the spectra of the seed rows a[r]; it is
-    asked for the rows start .. stop + passes - 2, each once.  The key
-    rows go in steps (``steps``) into a window of as many rows, and the
-    seed rows a step newly needs into a window of passes - 1 more, whose
-    rows the next step still needs move to its front.  ``engine``, an
-    ``engines.Mac`` or ``engines.BlockSums`` for these passes, adds each
-    step's products to ``out`` by the time it finishes.  Every step
-    reuses the windows, so the memory held does not grow with the rows.
+
+def pass_spectra(x: Words, seed_fill, engine, out: np.ndarray, window=None,
+                 share: int = 0, shares: int = 1, barrier=lambda: None) -> np.ndarray:
+    """Add the spectra of sum_j x[j] * a[j + q] to out[q], and return ``out``.
+
+    ``out`` holds one row of canonical values per pass, as wide as the
+    transform.  ``seed_fill(rows, out)``, such as ``Words.fill``, writes
+    the spectra of the seed rows a[r], each asked for once.  The key rows
+    go in steps (``steps``) into a window of as many rows, and the seed
+    rows a step newly needs into one of passes - 1 more, whose rows the
+    next step still needs move to its front; ``window`` holds both, key
+    rows first, else is made here.  ``engine`` (``engines``) adds each
+    step's products to ``out`` by the time it finishes.  ``shares``
+    processes may run this in lockstep on one ``out`` and ``window`` in
+    shared memory, taking turns at each step's fills, a transform batch
+    each; share k moves, adds and finishes only its ``columns``, and
+    ``barrier()`` returns once every share has called it.
     """
     passes, length = out.shape
-    stop = len(x) if stop is None else stop
-    step, window = steps(engine.section, stop - start, length)
-    keys = np.empty((window, length), dtype=_U64)
-    seeds = np.empty((window + passes - 1, length), dtype=_U64)
-    have = start  # one past the last seed row in the window
-    for s in range(start, stop, step):
-        k = min(step, stop - s)
-        for r in range(have - s):  # row by row: the ranges may overlap
-            seeds[r] = seeds[step + r]
-        seed_fill(range(have, s + k + passes - 1), seeds[have - s:k + passes - 1])
-        have = s + k + passes - 1
-        x.fill(range(s, s + k), keys[:k])
-        engine.add(keys, seeds, k, out)
-    engine.finish(out)
+    step, held = steps(engine.section, len(x), length)
+    if window is None:  # two arrays: in one, narrow ran 7-13% slower on a 2-CPU VM
+        keys, seeds = (np.empty((rows, length), dtype=_U64) for rows in (held, held + passes - 1))
+    else:
+        keys, seeds = window[:held], window[held:]
+    cols, batch = columns(share, shares, length), ntt.batch_rows(length)
+    for s in range(0, len(x), step):
+        k = min(step, len(x) - s)
+        kept = passes - 1 if s else 0  # the seed rows the last step shares with this one
+        for r in range(kept):  # row by row: the rows may overlap
+            seeds[r, cols] = seeds[step + r, cols]
+        barrier()
+        fills = ((x.fill, range(s, s + k), keys[:k]),
+                 (seed_fill, range(s + kept, s + k + passes - 1), seeds[kept:k + passes - 1]))
+        batches = [(fill, rows[i:i + batch], to[i:i + batch])
+                   for fill, rows, to in fills for i in range(0, len(rows), batch)]
+        for fill, rows, to in batches[share::shares]:
+            fill(rows, to)
+        barrier()
+        engine.add(keys[:, cols], seeds[:, cols], k, out[:, cols])
+    engine.finish(out[:, cols])
+    barrier()
     return out
 
 

@@ -45,10 +45,11 @@ def cmd_plan(args) -> int:
         print(f"{name:<9} = {value}")
     print(f"seed bits = {pipeline.required_seed_bits(params)}")
     print(f"shares    = {run.shares}")
-    for k, size in enumerate(run.sizes):
-        engine = f"the block engine, B = {size}" if size else "the MAC"
-        print(f"range {k + 1:<3} = blocks {run.bounds[k] + 1}-{run.bounds[k + 1]} "
-              f"on {engine}, holding {run.held[k]} bytes")
+    print(f"engine    = the block engine, B = {run.size}" if run.size else "engine    = the MAC")
+    print(f"window    = {run.window} bytes")
+    for k, held in enumerate(run.engine):
+        cols = bigint.columns(k, run.shares, params.L)
+        print(f"share {k + 1:<3} = columns {cols.start + 1}-{cols.stop}, engine {held} bytes")
     print(f"buffer    = {run.buffer} bytes")
     print(f"ratio     = {params.ratio}")
     if params.l == params.N:
@@ -183,9 +184,9 @@ def _selftest_suites():
 
     def workers_equivalence():
         rng = np.random.default_rng(2024)
-        # 2 workers fork a child for each fan-out where 2 CPUs are usable;
-        # 14 passes over 70 blocks take the block engine, whose 35-block
-        # ranges at 2 shares end in partial sections
+        # 2 workers fork one child where 2 CPUs are usable; 14 passes over
+        # 70 blocks take the block engine, in sections of 19 rows and a
+        # partial one, each share on half of the 16 columns
         params = pipeline.plan(127 * 70, 127 * 13 + 50, 127)
         x, seed = key_and_seed(rng, params)
         one, two = (pipeline.distill(x, seed, params, workers=w) for w in (1, 2))

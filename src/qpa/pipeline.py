@@ -13,23 +13,21 @@ packed once, and A, b and c are rows of one seed stream.
 so memory does not grow with n, and each pass then costs one inverse
 transform.
 
-``schedule`` is the one place where the fan-out is decided: before any
-key bit moves, it cuts the key blocks into one contiguous range per
-share and picks each range's engine.  ``_pass_sums`` runs it, fanning
-out three times through ``_fan_out``, the one place that starts
-processes: over the seed words that two ranges need, which are
-transformed once; over the ranges, each streamed into its own pass
-spectra; and over the passes, each summed over the ranges, reduced to
-its canonical residue by ``bigint.to_ints`` and written as a
-little-endian byte row, from which the key's y_1 .. y_m are unpacked at
-once.  All results go to one buffer, a shared mapping when children
-write to it: with one share nothing is forked and nothing is mapped.
-Every row and pass runs through the same kernels whichever process runs
-it, so the worker count can never change output bits.
+``schedule`` decides the fan-out before any key bit moves: the shares,
+the plan's one engine and the bytes each part holds.  ``_pass_sums``
+forks once through ``_fan_out``, the one place that starts processes,
+and the shares step through ``bigint.pass_spectra`` in lockstep between
+pipe barriers, taking turns at the fills and each summing its own
+columns; each then writes its passes' residues (``bigint.to_ints``) as
+little-endian byte rows, from which y_1 .. y_m are unpacked at once.
+The spectra, residues and shared windows live once in one buffer, mapped
+only when children write to it.  Every row and pass runs through the same
+kernels in any process, so the worker count never changes output bits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import mmap
 import os
@@ -41,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bigint, bitio, engines, mmh_mh
-from . import goldilocks as gl
 from .dm3h import split_and_pad
 from .errors import (InvalidRatio, InvalidWorkers, LengthMismatch, SeedTooShort,
                      WorkerFailed)
@@ -61,7 +58,7 @@ class PaParams:
     n: int
     m: int
     l_prime: int
-    L: int  # the transform length of every range and pass
+    L: int  # the transform length of every row and pass
     b: int  # its digit width
 
     @property
@@ -142,10 +139,9 @@ class Schedule:
 
     params: PaParams
     shares: int
-    bounds: tuple[int, ...]
-    shared: tuple[int, ...]
-    sizes: tuple[int, ...]
-    held: tuple[int, ...]
+    size: int  # the engine's B, 0 for the MAC
+    window: int  # bytes of the key and seed windows
+    engine: tuple[int, ...]  # bytes each share's engine holds for its columns
     buffer: int
 
 
@@ -157,15 +153,11 @@ def schedule(params: PaParams, workers: int | None = None) -> Schedule:
     """The run at ``workers`` processes: the given count, else QPA_WORKERS, else 1.
 
     The count must be a positive integer; the shares are capped by the
-    blocks and the usable CPUs (all CPUs where the platform has no
-    ``os.sched_getaffinity``, as macOS has not).  Share k streams blocks
-    bounds[k] .. bounds[k+1] - 1 on the engine of B = sizes[k] (0: the
-    MAC), which need seed words bounds[k] .. bounds[k+1] + passes - 2,
-    so the ``shared`` words two ranges need are the passes - 1 from the start
-    of each range but the first.  A range holds held[k] bytes: its key
-    and seed windows of K and K + passes - 1 rows (``bigint.steps``) and
-    its engine's buffers.  The ``buffer`` bytes hold the shared seed
-    spectra, each share's pass spectra and each pass's residue.
+    blocks, the columns and the usable CPUs (all CPUs where the platform
+    has no ``os.sched_getaffinity``, as macOS has not).  The engine of
+    B = ``size`` (0: the MAC) follows from n and the passes; the buffer
+    holds the pass spectra, their residues and, when shared, the windows
+    (``bigint.steps``).
     """
     if workers is None:
         raw = os.environ.get("QPA_WORKERS", "1")
@@ -180,58 +172,81 @@ def schedule(params: PaParams, workers: int | None = None) -> Schedule:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    shares = min(workers, n, cpus)
-    bounds = tuple(k * n // shares for k in range(shares + 1))
-    shared = tuple(sorted({r for b in bounds[1:-1] for r in range(b, b + passes - 1)}))
-    sizes, held = [], []
-    for start, stop in zip(bounds, bounds[1:]):
-        sizes.append(engines.block_size(stop - start, passes))
-        engine = _engine(sizes[-1], passes)
-        window = bigint.steps(engine.section, stop - start, length)[1]
-        held.append(8 * (2 * window + passes - 1) * length + engine.buffer_bytes(window, length))
-    buffer = 8 * (len(shared) + shares * passes) * length + passes * -(-params.gamma // 8)
-    return Schedule(params, shares, bounds, shared, tuple(sizes), tuple(held), buffer)
+    shares = min(workers, n, length, cpus)
+    size = engines.block_size(n, passes)
+    engine = _engine(size, passes)
+    keys = bigint.steps(engine.section, n, length)[1]
+    window = 8 * (2 * keys + passes - 1) * length
+    cols = [bigint.columns(k, shares, length) for k in range(shares)]
+    held = tuple(engine.buffer_bytes(keys, c.stop - c.start) for c in cols)
+    buffer = (window if shares > 1 else 0) + 8 * passes * length + passes * -(-params.gamma // 8)
+    return Schedule(params, shares, size, window, held, buffer)
 
 
 def _fan_out(job, shares: int) -> None:
-    """Run job(0, shares), ..., job(shares - 1, shares).
+    """Run job(k, shares, barrier) for k = 0 .. shares - 1, in lockstep.
 
-    Share 0 runs in the caller; shares 1.. run in ``os.fork``ed children,
-    which see the caller's memory as it was at the fork and hand results
-    back only by writing into shared mappings.  With one share nothing is
-    forked.  Every child is reaped before this returns or raises; a child
-    that raises, exits non-zero or is killed raises WorkerFailed.
+    Share 0 runs in the caller, the others in forked children, which hand
+    results back only through shared mappings.  ``barrier()`` returns once
+    every share has called it as often; a child holds only its own two
+    pipe ends, so it exits at a barrier once its parent is gone.  Every
+    child is reaped before this returns or raises; one that raises, exits
+    or is killed raises WorkerFailed.
     """
-    if shares <= 1:
-        job(0, 1)
-        return
-    children: list[int] = []
+    children, fds = {}, []  # the parent's (up, down) ends by unreaped pid; every end it holds
+
+    def reap(pid: int, early: bool) -> None:  # early: it left before a barrier
+        del children[pid]
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status or early:
+            raise WorkerFailed(f"worker process {pid} exited with status {status}")
+
+    def barrier() -> None:
+        for pid, (up, _) in children.items():
+            if not os.read(up, 1):
+                reap(pid, True)
+        for _, down in children.values():
+            # a child gone since it called shows at the next barrier or reap
+            with contextlib.suppress(BrokenPipeError):
+                os.write(down, b"\0")
+
     try:
         for k in range(1, shares):
+            (up, to_parent), (from_parent, down) = os.pipe(), os.pipe()
+            fds += [up, down, to_parent, from_parent]
             try:
                 pid = os.fork()
             except OSError as exc:
                 raise WorkerFailed(f"could not start a worker process: {exc}") from exc
             if pid == 0:
-                _run_child(job, k, shares)
-            children.append(pid)
-        job(0, shares)
+                for fd in fds[:-2]:
+                    os.close(fd)
+                _run_child(job, k, shares, to_parent, from_parent)
+            for fd in (fds.pop(), fds.pop()):
+                os.close(fd)
+            children[pid] = up, down
+        job(0, shares, barrier)
         for pid in list(children):
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.remove(pid)
-            if status != 0:
-                raise WorkerFailed(f"worker process {pid} exited with status {status}")
+            reap(pid, False)
     finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
-def _run_child(job, k: int, shares: int) -> None:
+def _run_child(job, k: int, shares: int, up: int, down: int) -> None:
     """Run share k in a forked child and exit: status 0 once it returns, else 1."""
+    def barrier() -> None:
+        with contextlib.suppress(BrokenPipeError):
+            os.write(up, b"\0")
+        if not os.read(down, 1):
+            os._exit(1)  # the parent is gone
+
     status = 1
     try:
-        job(k, shares)
+        job(k, shares, barrier)
         status = 0
     except BaseException:  # the parent sees the status; the traceback goes to stderr
         traceback.print_exc()
@@ -268,48 +283,25 @@ def distill_blocks(blocks: bigint.Words, seed: SeedMaterial, params: PaParams,
 def _pass_sums(blocks: bigint.Words, A: bigint.Words, run: Schedule) -> np.ndarray:
     """The pass sums' residues, as little-endian rows of ceil(gamma / 8) bytes.
 
-    ``run``'s shares compute them, and the rows are copied out of its
-    buffer, so its spectra are freed on return.
+    ``run``'s shares compute them into its buffer, freed on return.
     """
     passes, length, gamma = run.params.pass_count, run.params.L, run.params.gamma
-    shares, bounds, shared = run.shares, run.bounds, run.shared
-    slot = np.full(len(A), -1)
-    slot[list(shared)] = range(len(shared))
-    # a shared mapping when children write to it
-    rows, width = len(shared) + shares * passes, -(-gamma // 8)
-    buf = mmap.mmap(-1, run.buffer) if shares > 1 else bytearray(run.buffer)
+    # a mapping, windows first, when children share it; one share's windows
+    # are pass_spectra's own, freed before the inverse transforms
+    shared = run.shares > 1
+    buf = mmap.mmap(-1, run.buffer) if shared else bytearray(run.buffer)
+    rows, width = (run.window // (8 * length) if shared else 0) + passes, -(-gamma // 8)
     spectra = np.frombuffer(buf, dtype=np.uint64, count=rows * length).reshape(rows, length)
-    known, acc = spectra[:len(shared)], spectra[len(shared):].reshape(shares, passes, length)
+    window, out = spectra[:-passes] if shared else None, spectra[-passes:]
     sums = np.frombuffer(buf, dtype=np.uint8, offset=8 * rows * length).reshape(passes, width)
 
-    def transform(k: int, s: int) -> None:
-        part = slice(k * len(shared) // s, (k + 1) * len(shared) // s)
-        A.fill(shared[part], known[part])
-
-    def seed_fill(rows: range, out: np.ndarray) -> None:
-        # the words of one range that no other range needs form one run
-        slots = slot[rows.start:rows.stop]
-        own = np.flatnonzero(slots < 0)
-        if len(own):
-            A.fill(rows[own[0]:own[-1] + 1], out[own[0]:own[-1] + 1])
-        for i in np.flatnonzero(slots >= 0):
-            out[i] = known[slots[i]]
-
-    def stream(k: int, s: int) -> None:
-        bigint.pass_spectra(blocks, seed_fill, _engine(run.sizes[k], passes), acc[k],
-                            bounds[k], bounds[k + 1])
-
-    def finish(k: int, s: int) -> None:
+    def share(k: int, s: int, barrier) -> None:
+        bigint.pass_spectra(blocks, A.fill, _engine(run.size, passes), out, window, k, s, barrier)
         mine = range(k * passes // s, (k + 1) * passes // s)
-        for q in mine:
-            for part in acc[1:, q]:
-                gl.v_add(acc[0, q], part, acc[0, q])
-        for q, y in zip(mine, bigint.to_ints(acc[0, mine.start:mine.stop], gamma)):
+        for q, y in zip(mine, bigint.to_ints(out[mine.start:mine.stop], gamma)):
             sums[q] = np.frombuffer(y.to_bytes(width, "little"), dtype=np.uint8)
 
-    _fan_out(transform, min(shares, len(shared)))
-    _fan_out(stream, shares)
-    _fan_out(finish, min(shares, passes))
+    _fan_out(share, run.shares)
     return sums.copy()
 
 

@@ -185,7 +185,7 @@ def test_criterion_4_end_to_end_oracle(monkeypatch, tmp_path):
         for gamma in (7, 31, 127):
             covered = {"lp0": False, "m0": False, "mixed": False}
             for trial in range(100):
-                # up to 100 blocks, so that 2-worker ranges reach the block engine
+                # up to 100 blocks, so that plans reach the block engine
                 N = int(rng.integers(gamma, 100 * gamma + 1))
                 # force coverage of the degenerate shapes early on
                 if trial == 0:

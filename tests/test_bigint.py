@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,25 +184,40 @@ def test_pass_spectra_sums_each_shifted_range(gamma, n, passes, size):
               for _ in range(n + passes - 1)]
     x, a = bigint.Words.from_ints(xs, gamma), bigint.Words.from_ints(coeffs, gamma)
     assert engines.block_size(n, passes) == size
-    for start, stop in ((0, n), (1, n - 1)):
-        asked = []
+    asked = []
 
-        def seed_fill(rows, out):
-            asked.extend(rows)
-            a.fill(rows, out)
+    def seed_fill(rows, out):
+        asked.extend(rows)
+        a.fill(rows, out)
 
-        spectra = bigint.pass_spectra(x, seed_fill, engine(size, passes), zeros(passes, gamma, n),
-                                      start, stop)
-        # each seed row the range needs is transformed once, in order
-        assert asked == list(range(start, stop + passes - 1))
-        for q, total in enumerate(bigint.to_ints(spectra, gamma)):
-            assert total == sum(
-                xs[j] * coeffs[j + q] for j in range(start, stop)) % p
-    # out accumulates: a second range adds its sums to the first
-    both = bigint.pass_spectra(x, a.fill, engines.Mac(), zeros(passes, gamma, n), 0, 1)
-    bigint.pass_spectra(x, a.fill, engine(size, passes), both, 1, n)
-    assert bigint.to_ints(both[-1:], gamma)[0] == sum(
-        xs[j] * coeffs[j + passes - 1] for j in range(n)) % p
+    spectra = bigint.pass_spectra(x, seed_fill, engine(size, passes), zeros(passes, gamma, n))
+    # each seed row is transformed once, in order
+    assert asked == list(range(n + passes - 1))
+    sums = [sum(xs[j] * coeffs[j + q] for j in range(n)) % p for q in range(passes)]
+    assert bigint.to_ints(spectra, gamma) == sums
+    # three shares in lockstep, here threads at one barrier, on one out and
+    # one window, each with its own engine: out accumulates the same
+    # spectra once more
+    length, shares = spectra.shape[1], 3
+    keys = bigint.steps(engine(size, passes).section, n, length)[1]
+    window = np.empty((2 * keys + passes - 1, length), dtype=np.uint64)
+    barrier = threading.Barrier(shares, timeout=60)
+
+    def share(k):
+        try:
+            bigint.pass_spectra(x, a.fill, engine(size, passes), spectra, window, k, shares,
+                                barrier.wait)
+        except BaseException:
+            barrier.abort()   # the other shares stop at the barrier too
+            raise
+
+    threads = [threading.Thread(target=share, args=(k,)) for k in range(shares)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
+    assert bigint.to_ints(spectra, gamma) == [2 * total % p for total in sums]
 
 
 @pytest.mark.parametrize("gamma,n,passes,chosen", [

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qpa
-from qpa import bigint, bitio, cli, pipeline
+from qpa import bigint, bitio, cli, engines, pipeline
 
 
 def run(argv):
@@ -25,17 +25,28 @@ def test_plan_output(capsys, monkeypatch):
     assert "m         = 13" in out
     assert "l_prime   = 161093" in out
     assert "seed bits = 112012172" in out
-    # at 1 worker, 14 passes over the one range of 133 rows take the block
-    # engine: a window of 19 key rows (a section) and 19 + 13 seed rows, a
-    # (32, L) accumulator of 40960 values, and a stack of 17 rows of the
-    # key and seed columns, twice 16384 values.  The buffer holds the 14
-    # pass rows and their residues of ceil(756839 / 8) bytes
+    # at 1 worker, 14 passes over 133 rows take the block engine: a window
+    # of 19 key rows (a section) and 19 + 13 seed rows, and for the one
+    # share's 40960 columns a (32, L) accumulator and a stack of 17 rows of
+    # the key and seed columns, twice 16384 values.  The buffer holds the
+    # 14 pass rows and their residues of ceil(756839 / 8) bytes
     assert "L         = 40960" in out
     assert "b         = 19" in out
     assert "shares    = 1" in out
-    assert ("range 1   = blocks 1-133 on the block engine, B = 32, holding "
-            f"{83 * 40960 * 8 + 17 * 2 * 16384 * 8} bytes") in out
+    assert "engine    = the block engine, B = 32" in out
+    assert f"window    = {51 * 40960 * 8} bytes" in out
+    assert (f"share 1   = columns 1-40960, engine "
+            f"{32 * 40960 * 8 + 17 * 2 * 16384 * 8} bytes") in out
     assert f"buffer    = {14 * 40960 * 8 + 14 * 94605} bytes" in out
+    # at 2 workers each share's accumulator and stack cover 20480 columns,
+    # and the buffer holds the shared window too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert run(["plan", "--in-bits", 10 ** 8, "--out-bits", 10 ** 7, "--workers", 2]) == 0
+    out = capsys.readouterr().out
+    for k, cols in enumerate(("1-20480", "20481-40960")):
+        assert (f"share {k + 1}   = columns {cols}, engine "
+                f"{32 * 20480 * 8 + 17 * 2 * 16384 * 8} bytes") in out
+    assert f"buffer    = {65 * 40960 * 8 + 14 * 94605} bytes" in out
     assert "in one process" not in out
     # the same 133 blocks at gamma 19937 fit L = 1024 with 20-bit digits
     assert run(["plan", "--in-bits", 2_651_621, "--out-bits", 265_162,
@@ -52,52 +63,48 @@ def test_plan_output(capsys, monkeypatch):
     assert "L         = 65536" in out
     assert "b         = 20" in out
     # one pass over 40 rows takes the MAC: 18 key rows, three transform
-    # batches of 6, and 18 seed rows, and the buffer holds the pass row
-    # and its residue
+    # batches of 6, and 18 seed rows, and the buffer holds the pass row and
+    # its residue
     assert run(["plan", "--in-bits", 40 * 756839, "--out-bits", 100]) == 0
     out = capsys.readouterr().out
-    assert f"range 1   = blocks 1-40 on the MAC, holding {36 * 40960 * 8} bytes" in out
+    assert "engine    = the MAC" in out
+    assert f"window    = {36 * 40960 * 8} bytes" in out
+    assert "share 1   = columns 1-40960, engine 0 bytes" in out
     assert f"buffer    = {40960 * 8 + 94605} bytes" in out
 
 
-def printed_ranges(out):
-    """(first block, last block, B) of each range ``qpa plan`` prints; B = 0 is the MAC."""
-    return [(int(first), int(last), int(size or 0)) for first, last, size in re.findall(
-        r"^range \d+ += blocks (\d+)-(\d+) on the (?:block engine, B = (\d+)|MAC),", out, re.M)]
-
-
 def test_plan_prints_the_schedule_a_run_takes(tmp_path, monkeypatch, capsys):
-    # 14 passes at gamma 127: 70 blocks take the block engine in the one
-    # range at 1 worker and in both 35-block ranges at 2, and the MAC in
-    # the 23- and 24-block ranges at 3; 50 blocks take the block engine at
-    # 1 worker, but each 25-block range at 2 takes the MAC.  As criterion
-    # 4 logs its engines, every process appends the range and B of each
-    # pass_spectra call it makes to one file
+    # 14 passes at gamma 127 take the block engine, B = 32, over 70 blocks
+    # and over 50, at any worker count; each share sums its own columns of
+    # L = 16, 8 and 8 at 2 shares, 5, 5 and 6 at 3.  Every process appends
+    # the B and the column count of each engine ``add`` it makes to one file
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
-    log = os.open(tmp_path / "ranges", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-    real_stream, real_mmap, mapped = bigint.pass_spectra, mmap.mmap, []
+    log = os.open(tmp_path / "shares", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    real_add, real_mmap, mapped = engines.BlockSums.add, mmap.mmap, []
 
-    def pass_spectra(x, seed_fill, engine, out, start, stop):
-        os.write(log, f"{start + 1} {stop} {getattr(engine, 'size', 0)}\n".encode())
-        return real_stream(x, seed_fill, engine, out, start, stop)
+    def add(engine, keys, *args):
+        os.write(log, f"{engine.size} {keys.shape[1]}\n".encode())
+        return real_add(engine, keys, *args)
 
     def mapping(fileno, length, *args, **kwargs):
         mapped.append(length)
         return real_mmap(fileno, length, *args, **kwargs)
 
-    monkeypatch.setattr(bigint, "pass_spectra", pass_spectra)
+    monkeypatch.setattr(engines.BlockSums, "add", add)
     monkeypatch.setattr(mmap, "mmap", mapping)
-    runs = {(70, 1): [(1, 70, 32)], (70, 2): [(1, 35, 32), (36, 70, 32)],
-            (70, 3): [(1, 23, 0), (24, 46, 0), (47, 70, 0)],
-            (50, 1): [(1, 50, 32)], (50, 2): [(1, 25, 0), (26, 50, 0)]}
     rng = np.random.default_rng(22)
     try:
-        for (n, workers), ranges in runs.items():
+        for n, workers in ((70, 1), (70, 2), (70, 3), (50, 1), (50, 2)):
             plan = ["--in-bits", 127 * n, "--out-bits", 127 * 13 + 50, "--gamma-exp", 127]
             assert run(["plan", *plan, "--workers", workers]) == 0
             out = capsys.readouterr().out
             assert f"shares    = {workers}" in out
-            assert printed_ranges(out) == ranges, out
+            assert len(re.findall(r"^engine ", out, re.M)) == 1
+            assert "engine    = the block engine, B = 32" in out, out
+            shares = [(32, int(last) - int(first) + 1) for first, last in
+                      re.findall(r"^share \d+ += columns (\d+)-(\d+), ", out, re.M)]
+            assert sorted(shares) == sorted((32, 16 * (k + 1) // workers - 16 * k // workers)
+                                            for k in range(workers)), out
             assert "in one process" not in out
             buffer = int(re.search(r"^buffer    = (\d+) bytes$", out, re.M).group(1))
             (tmp_path / "key.bin").write_bytes(rng.bytes(-(-127 * n // 8)))
@@ -108,8 +115,8 @@ def test_plan_prints_the_schedule_a_run_takes(tmp_path, monkeypatch, capsys):
                         "--seed", tmp_path / "seed.bin", "--output", tmp_path / "out.bin",
                         "--workers", workers]) == 0
             logged = sorted(tuple(map(int, line.split()))
-                            for line in (tmp_path / "ranges").read_text().splitlines())
-            assert logged == ranges
+                            for line in (tmp_path / "shares").read_text().splitlines())
+            assert logged == sorted(shares)
             # one share maps nothing; more map the buffer the plan printed
             assert mapped == ([buffer] if workers > 1 else [])
     finally:
@@ -331,19 +338,18 @@ def test_workers_env_default(tmp_path, monkeypatch):
     real = pipeline._fan_out
 
     def recording(job, shares):
-        def noting(k, shares):
+        def noting(k, shares, barrier):
             if k == 0:   # share 0 runs in this process
                 seen.append(shares)
-            return job(k, shares)
+            return job(k, shares, barrier)
         return real(noting, shares)
 
     monkeypatch.setattr(pipeline, "_fan_out", recording)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setenv("QPA_WORKERS", "3")
     assert run(zero_distill_args(tmp_path)) == 0
-    # 8 blocks in 3 ranges; the 2 seed words two ranges need over 2
-    # shares, the ranges over 3, then 2 passes over 2
-    assert seen == [2, 3, 2]
+    # one fan-out of 3 shares over the 8 blocks' fills and the 16 columns
+    assert seen == [3]
 
 
 def test_worker_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -2,8 +2,12 @@ import errno
 import mmap
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,7 +193,7 @@ def test_all_ones_rows_hash_as_zero(gamma, n, l, workers, length, block, monkeyp
     fake_cpus(monkeypatch, workers)
     params = pipeline.plan(n * gamma, l, gamma)
     assert params.L == length
-    assert set(pipeline.schedule(params, workers).sizes) == {block}
+    assert pipeline.schedule(params, workers).size == block
     rng = np.random.default_rng(gamma + workers)
     x = rng.integers(0, 2, size=params.N, dtype=np.uint8)
     seed_bits = rng.integers(0, 2, size=pipeline.required_seed_bits(params), dtype=np.uint8)
@@ -288,8 +292,9 @@ def assert_no_child_left():
 
 
 def test_worker_count_does_not_change_output(monkeypatch, tmp_path, deadline):
-    # more shares than the 2 CPUs a small machine has: uneven row ranges
-    # and round-robin passes over up to 3 processes
+    # more shares than the 2 CPUs a small machine has: fill batches, column
+    # slices of L = 16 that 3 shares do not divide, and passes over up to 4
+    # processes
     fake_cpus(monkeypatch, 4)
     # every process appends one byte per transformed row to this file, so
     # the split is seen to transform each row once and nothing twice
@@ -301,9 +306,8 @@ def test_worker_count_does_not_change_output(monkeypatch, tmp_path, deadline):
         monkeypatch.setattr(ntt, attr, logged)
     rng = np.random.default_rng(5)
     try:
-        # mixed, l' = 0, m = 0, then 14 passes over 70 rows: the block
-        # engine at 1 worker and in 35-row ranges of two sections, 19 rows
-        # and a partial one, at 2; the MAC in 23-row ranges at 3
+        # mixed, l' = 0, m = 0 on the MAC, then 14 passes over 70 rows on
+        # the block engine: sections of 19 rows and a partial one
         for N, l in ((127 * 30, 127 * 3 + 50), (127 * 30, 127 * 3), (127 * 30, 50),
                      (127 * 70, 127 * 13 + 50)):
             params = pipeline.plan(N, l, 127)
@@ -311,7 +315,7 @@ def test_worker_count_does_not_change_output(monkeypatch, tmp_path, deadline):
             seed_bits = rng.integers(0, 2, size=pipeline.required_seed_bits(params),
                                      dtype=np.uint8)
             outs = []
-            for w in (1, 2, 3):
+            for w in (1, 2, 3, 4):
                 os.ftruncate(log, 0)
                 # fresh seed words, so every run transforms its own rows
                 seed = pipeline.seed_from_bits(seed_bits, params)
@@ -326,12 +330,21 @@ def test_worker_count_does_not_change_output(monkeypatch, tmp_path, deadline):
 
 
 @pytest.mark.parametrize("N,l,gamma", [
-    # 3 shares of 2 blocks and P = 5: seed words that 3 shares need
+    # 6 blocks and P = 5: one key batch and one seed batch over up to 4
+    # shares, so some fill nothing
     (127 * 6, 127 * 4 + 10, 127),
     # P = n, the most passes a plan has (bigint tests take P > n)
     (127 * 3, 127 * 3, 127),
-    # n = 150 is not a multiple of the 64-row steps at L = 4096
+    # one step of 150 rows at L = 256
     (4253 * 150 - 5, 4253 * 2 + 7, 4253),
+    # two steps at L = 1024, so each share's seed moves cross barriers: the
+    # MAC in steps of 150 rows, and the block engine in steps of 152 rows,
+    # eight sections of 19, and 148, whose last section is partial
+    (19937 * 300 - 7, 19937 * 2 + 3, 19937),
+    (19937 * 300, 19937 * 13 + 11, 19937),
+    # mid's shape: two MAC steps at L = 40960, which 3 shares do not
+    # divide, 18 rows in three fill batches and then 9
+    (756839 * 27, 756839 * 2 + 5, 756839),
 ])
 def test_split_edge_cases_transform_each_row_once(N, l, gamma, monkeypatch, tmp_path,
                                                   deadline):
@@ -344,12 +357,17 @@ def test_split_edge_cases_transform_each_row_once(N, l, gamma, monkeypatch, tmp_
         monkeypatch.setattr(ntt, attr, logged)
     params = pipeline.plan(N, l, gamma)
     x, seed = random_instance(np.random.default_rng(N), params)
-    expected = bitio.bytes_from_bits(oracle.naive_distill(x, seed, params))
+    # the oracle takes seconds at gamma 756839: there the 1-worker key
+    # stands in for it, which test_distill_matches_naive_at_the_production_gamma
+    # checks on a smaller plan
+    expected = None if gamma > 10 ** 5 else bitio.bytes_from_bits(
+        oracle.naive_distill(x, seed, params))
     try:
-        for w in (1, 2, 3):
+        for w in (1, 2, 3, 4):
             os.ftruncate(log, 0)
-            out = pipeline.distill(x, seed, params, workers=w)
-            assert bitio.bytes_from_bits(out) == expected, (params, w)
+            out = bitio.bytes_from_bits(pipeline.distill(x, seed, params, workers=w))
+            expected = expected or out
+            assert out == expected, (params, w)
             rows = (tmp_path / "rows").read_bytes()
             assert (rows.count(b"f"), rows.count(b"i")) == (
                 params.n + params.seed_words, params.pass_count), (params, w)
@@ -383,8 +401,9 @@ def test_working_set_does_not_grow_with_the_blocks():
         runs = [pipeline.schedule(pipeline.plan(gamma * rows, gamma * m + 100, gamma), 1)
                 for rows in (n, 4 * n)]
         assert {run.params.L for run in runs} == {length}
-        assert runs[0].sizes == runs[1].sizes == (size,)
-        assert runs[0].held == runs[1].held
+        assert runs[0].size == runs[1].size == size
+        assert (runs[0].window, runs[0].engine, runs[0].buffer) == (
+            runs[1].window, runs[1].engine, runs[1].buffer)
         peaks = []
         for run in runs:
             params = run.params
@@ -404,13 +423,14 @@ def test_working_set_does_not_grow_with_the_blocks():
 @pytest.mark.parametrize("n", [256, 257, 300])
 def test_one_transform_length_per_plan(n, monkeypatch, deadline):
     # at gamma 44497, L = 2048 sums up to 256 rows and L = 2560 more.  At
-    # n = 300 each 150-block range of a 2-worker run would fit L = 2048
-    # alone, but the ranges' spectra are summed, so the plan's L holds
+    # n = 300 a 2-worker run's fill batches hold at most 102 blocks, which
+    # alone would fit L = 2048, but every pass sums all of them, so the
+    # plan's L holds
     gamma = 44497
     assert bigint.transform_shape(gamma, 256)[0] == bigint.transform_shape(gamma, 150)[0] == 2048
     assert bigint.transform_shape(gamma, 257)[0] == 2560
     fake_cpus(monkeypatch, 2)
-    # the lengths the parent's share transforms at, its range's and the sums'
+    # the lengths the parent's share transforms at, its fills' and the sums'
     widths = set()
     for attr in ("ntt_forward", "ntt_inverse"):
         def logged(v, real=getattr(ntt, attr), **kwargs):
@@ -455,52 +475,136 @@ def test_share_count_is_capped_by_the_rows(monkeypatch):
     assert forks == []
 
 
+# where a share fails: before the first barrier, or in the engine's add
+# after it, while the other shares wait at the next
+FAILURE_POINTS = ((bigint, "pass_spectra"), (engines.Mac, "add"))
+
+
+def past_the_barrier(*args):
+    raise AssertionError("share 0 went past a barrier that a child never reached")
+
+
 @pytest.mark.parametrize("fail", ["exit", "raise", "kill"])
 def test_worker_failure_is_raised_and_reaped(fail, monkeypatch, capfd, deadline):
     # two children fail: the first one collected raises WorkerFailed, and
     # the other is reaped on the way out
     fake_cpus(monkeypatch, 3)
     parent = os.getpid()
-    real_stream = bigint.pass_spectra
-
-    def pass_spectra(*args):
-        if os.getpid() != parent:
-            if fail == "exit":
-                os._exit(9)
-            if fail == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise ZeroDivisionError("pass failed in a child")
-        return real_stream(*args)
-
-    monkeypatch.setattr(bigint, "pass_spectra", pass_spectra)
     params = pipeline.plan(127 * 12, 127 * 3 + 50, 127)
     x, seed = random_instance(np.random.default_rng(15), params)
     status = {"exit": "9", "raise": "1", "kill": "-9"}[fail]
-    with pytest.raises(WorkerFailed, match=f"exited with status {status}$"):
-        pipeline.distill(x, seed, params, workers=3)
-    assert_no_child_left()
-    if fail == "raise":
-        assert "ZeroDivisionError: pass failed in a child" in capfd.readouterr().err
+    for owner, attr in FAILURE_POINTS:
+        def failing(*args, real=getattr(owner, attr)):
+            if os.getpid() != parent:
+                if fail == "exit":
+                    os._exit(9)
+                if fail == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ZeroDivisionError("pass failed in a child")
+            return real(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, attr, failing)
+            if owner is bigint:
+                # the parent stops at the first barrier, which no child reaches
+                patch.setattr(engines.Mac, "add", past_the_barrier)
+            with pytest.raises(WorkerFailed, match=f"exited with status {status}$"):
+                pipeline.distill(x, seed, params, workers=3)
+        assert_no_child_left()
+        if fail == "raise":
+            assert "ZeroDivisionError: pass failed in a child" in capfd.readouterr().err
 
 
 def test_failure_in_share_0_is_raised_and_reaped(monkeypatch, deadline):
-    # the caller's own share raises while its children still run: that
-    # error propagates, not WorkerFailed, and the children are killed and
-    # reaped
+    # the caller's own share raises while its children still run or wait
+    # at a barrier: that error propagates, not WorkerFailed, and the
+    # children are killed and reaped
     fake_cpus(monkeypatch, 3)
     parent = os.getpid()
-
-    def pass_spectra(*args):
-        if os.getpid() == parent:
-            raise ZeroDivisionError("pass failed in the parent")
-        time.sleep(90)   # past the deadline: only the kill ends it in time
-
-    monkeypatch.setattr(bigint, "pass_spectra", pass_spectra)
     params = pipeline.plan(127 * 12, 127 * 3 + 50, 127)
     x, seed = random_instance(np.random.default_rng(15), params)
-    with pytest.raises(ZeroDivisionError, match="pass failed in the parent"):
-        pipeline.distill(x, seed, params, workers=3)
-    assert_no_child_left()
+    for owner, attr in FAILURE_POINTS:
+        def failing(*args, real=getattr(owner, attr)):
+            if os.getpid() == parent:
+                raise ZeroDivisionError("pass failed in the parent")
+            if owner is bigint:
+                time.sleep(90)   # past the deadline: only the kill ends it in time
+            return real(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, attr, failing)
+            with pytest.raises(ZeroDivisionError, match="pass failed in the parent"):
+                pipeline.distill(x, seed, params, workers=3)
+        assert_no_child_left()
+
+
+def test_a_child_ends_with_its_parent(tmp_path, deadline):
+    # a run at 2 shares whose share 0 sleeps in its first engine add: once
+    # the parent is killed, the child, waiting at the next barrier or
+    # reaching it, sees EOF and exits there, before its inverse transforms,
+    # with no traceback
+    script = tmp_path / "run.py"
+    script.write_text(textwrap.dedent("""
+        import os, time
+        import numpy as np
+        from qpa import bigint, engines, pipeline
+        os.sched_getaffinity = lambda pid: {0, 1}
+        parent, real_fork, real_add = os.getpid(), os.fork, engines.Mac.add
+        real_to_ints = bigint.to_ints
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                print(pid, flush=True)
+            return pid
+
+        def add(*args):
+            if os.getpid() == parent:
+                print("held", flush=True)
+                time.sleep(60)
+            return real_add(*args)
+
+        def to_ints(*args):
+            print("inverted", flush=True)
+            return real_to_ints(*args)
+
+        os.fork, engines.Mac.add, bigint.to_ints = fork, add, to_ints
+        params = pipeline.plan(127 * 12, 127 * 3 + 50, 127)
+        rng = np.random.default_rng(0)
+        seed = pipeline.seed_from_bits(rng.bytes(-(-pipeline.required_seed_bits(params) // 8)),
+                                       params)
+        pipeline.distill(rng.bytes(-(-params.N // 8)), seed, params, workers=2)
+    """))
+    path = [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    child = None
+    with subprocess.Popen([sys.executable, script], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}) as run:
+        try:
+            child = int(run.stdout.readline())
+            assert run.stdout.readline() == "held\n"
+            assert running(child)
+            run.kill()
+            run.wait()
+            end = time.monotonic() + 5
+            while running(child) and time.monotonic() < end:
+                time.sleep(0.05)
+            assert not running(child)
+            assert run.stdout.read() == ""
+            assert "Traceback" not in run.stderr.read()
+        finally:
+            run.kill()
+            if child and running(child):
+                os.kill(child, signal.SIGKILL)
+
+
+def running(pid):
+    """Whether ``pid`` is a live process: neither gone nor a zombie left to its new parent."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def test_fork_failure_is_a_worker_failure(monkeypatch):
@@ -545,20 +649,26 @@ def test_workers_env_default(monkeypatch):
     assert pipeline.schedule(params).shares == 1
 
 
-def test_schedule_caps_the_shares_and_splits_the_ranges(monkeypatch):
-    # 10 blocks and 5 passes: up to the usable CPUs and the blocks, in
-    # ranges of n // shares or one more; the seed words two ranges need
-    # are the 4 from the start of each range but the first
-    params = pipeline.plan(127 * 10, 127 * 4 + 5, 127)
-    assert (params.n, params.pass_count) == (10, 5)
-    for cpus, workers, bounds, shared in ((4, 3, (0, 3, 6, 10), range(3, 10)),
-                                          (2, 3, (0, 5, 10), range(5, 9)),
-                                          (64, 64, tuple(range(11)), range(1, 13)),
-                                          (1, 8, (0, 10), ())):
-        fake_cpus(monkeypatch, cpus)
-        run = pipeline.schedule(params, workers)
-        assert (run.shares, run.bounds, run.shared) == (len(bounds) - 1, bounds, tuple(shared))
-        assert len(run.sizes) == len(run.held) == run.shares
+def test_schedule_caps_the_shares_and_splits_the_columns(monkeypatch):
+    # up to the usable CPUs, the blocks and the L = 16 columns, each share
+    # on L * k // S .. L * (k + 1) // S - 1, with one engine for the plan
+    # at any share count: the MAC for 5 passes over 10 blocks, the block
+    # engine, B = 32, for 14 over 70
+    for blocks, passes, size in ((10, 5, 0), (70, 14, 32)):
+        params = pipeline.plan(127 * blocks, 127 * (passes - 1) + 5, 127)
+        assert (params.n, params.pass_count, params.L) == (blocks, passes, 16)
+        for cpus, workers, shares in ((4, 3, 3), (2, 3, 2), (64, 64, min(blocks, 16)),
+                                      (1, 8, 1)):
+            fake_cpus(monkeypatch, cpus)
+            run = pipeline.schedule(params, workers)
+            assert (run.shares, run.size) == (shares, size)
+            cols = [bigint.columns(k, shares, 16) for k in range(shares)]
+            assert [c.start for c in cols] == [16 * k // shares for k in range(shares)]
+            assert cols[-1].stop == 16 and all(a.stop == b.start for a, b in zip(cols, cols[1:]))
+            one = pipeline._engine(size, passes)
+            keys = bigint.steps(one.section, blocks, 16)[1]
+            assert run.window == 8 * (2 * keys + passes - 1) * 16
+            assert run.engine == tuple(one.buffer_bytes(keys, c.stop - c.start) for c in cols)
 
 
 @pytest.mark.parametrize("cpus, shares", [(3, 3), (None, 1)])
